@@ -267,10 +267,10 @@ bool tiled_golden_proof() {
   lgca3d::Lattice3 golden({48, 40, 24}, lgca3d::Boundary3::Null);
   add_obstacle_ball(golden, 24, 20, 12, 6);
   lgca3d::fill_random(golden, 0.3, 13);
-  lgca3d::Lattice3 bits = golden;
+  lgca3d::PlaneLattice3 bits(golden);
   lgca3d::reference_run(golden, 20);
-  lgca3d::bitplane_gas_run_tiled3(bits, 20, 0, 2, lgca::TemporalTiling{3, 6});
-  return bits == golden;
+  lgca3d::plane_gas_run_tiled3(bits, 20, 0, 2, lgca::TemporalTiling{3, 6});
+  return bits.to_sites3() == golden;
 }
 
 bool print_ladder(std::vector<Row>& rows, std::vector<Row>& thread_rows) {

@@ -20,6 +20,7 @@
 #include "lattice/lgca/init.hpp"
 #include "lattice/lgca/plane_kernel.hpp"
 #include "lattice/lgca/reference.hpp"
+#include "lattice/lgca/temporal_tile.hpp"
 
 namespace {
 

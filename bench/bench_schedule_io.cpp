@@ -223,8 +223,7 @@ bool tiled_lut_proof(lgca::GasKind kind) {
   lgca::add_obstacle_disk(golden, 64, 48, 12);
   lgca::SiteLattice bits = golden;
   lgca::fused_gas_run(golden, lut, 40);
-  lgca::bitplane_gas_run_tiled(bits, kernel, 40, 0, 2,
-                               lgca::TemporalTiling{3, 16});
+  lgca::bitplane_gas_run(bits, kernel, 40, 0, 2, lgca::TemporalTiling{3, 16});
   return bits == golden;
 }
 

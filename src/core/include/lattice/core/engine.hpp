@@ -243,8 +243,11 @@ class LatticeEngine {
   std::int64_t chunk_quantum() const noexcept;
 
   /// Resume from a snapshot taken on a compatibly-configured engine
-  /// (same extent and boundary). verify_against_reference() stays
-  /// meaningful only for checkpoints from this engine's own history.
+  /// (same extent and boundary). verify_against_reference() replays
+  /// from the state the first advance() captured, at whatever
+  /// generation that was, so a restore into a fresh engine verifies;
+  /// once advance() has run, it stays meaningful only for checkpoints
+  /// from this engine's own history since that capture.
   void restore(const EngineCheckpoint& ckpt);
 
   /// Injector counters so far (all zero when no fault plan is armed).
@@ -271,8 +274,9 @@ class LatticeEngine {
   /// was built with -DLATTICE_OBS=OFF. See docs/OBSERVABILITY.md.
   MetricsReport snapshot() const;
 
-  /// Re-run the whole history on the golden reference and compare —
-  /// the end-to-end correctness check for pipelined backends.
+  /// Re-run the history since the first advance() on the golden
+  /// reference and compare — the end-to-end correctness check for
+  /// pipelined backends.
   bool verify_against_reference() const;
 
  private:
@@ -285,6 +289,8 @@ class LatticeEngine {
   lgca::SiteLattice initial_;
   lgca::SiteLattice state_;
   std::int64_t generation_ = 0;
+  /// The generation initial_ was captured at (the first advance()).
+  std::int64_t initial_generation_ = 0;
   bool initial_captured_ = false;
   double wall_seconds_ = 0;
 

@@ -100,7 +100,8 @@ std::int64_t plane_slab_bytes(lgca3d::Extent3 extent);
 /// slab bytes) and the Theorem 4 ceiling evaluated at d = 3 — the
 /// working set a depth-k z-slab trapezoid pins is what bends R/B toward
 /// the S^(1/3) law. The returned plan always satisfies
-/// lgca3d::temporal_tiling_feasible3 or has depth == 1.
+/// temporal_tiling_feasible over the {nx, nz} unit extent the tiled
+/// driver checks, or has depth == 1.
 TilePlan plan_temporal_tiles3(lgca3d::Extent3 extent,
                               lgca3d::Boundary3 boundary,
                               std::int64_t requested_depth,

@@ -39,8 +39,10 @@ std::unique_ptr<BackendExec> make_backend_exec(LatticeEngine::Config& config,
                                                fault::FaultInjector* injector) {
   switch (config.backend) {
     case Backend::Reference:
+    case Backend::Reference3:
       return detail::make_reference_exec(config, rule, injector);
     case Backend::BitPlane:
+    case Backend::BitPlane3:
       return detail::make_bitplane_exec(config, rule, injector);
     case Backend::Wsa:
       return detail::make_wsa_exec(config, rule, injector);
@@ -48,10 +50,6 @@ std::unique_ptr<BackendExec> make_backend_exec(LatticeEngine::Config& config,
       return detail::make_spa_exec(config, rule, injector);
     case Backend::WsaE:
       return detail::make_wsa_e_exec(config, rule, injector);
-    case Backend::Reference3:
-      return detail::make_reference3_exec(config, rule, injector);
-    case Backend::BitPlane3:
-      return detail::make_bitplane3_exec(config, rule, injector);
   }
   LATTICE_REQUIRE(false, "unknown backend");
   return nullptr;

@@ -8,7 +8,6 @@
 #include "lattice/core/backend_exec.hpp"
 #include "lattice/core/metrics_report.hpp"
 #include "lattice/lgca/gas_rule.hpp"
-#include "lattice/lgca/reference.hpp"
 #include "lattice/obs/metrics.hpp"
 #include "lattice/obs/trace.hpp"
 #include "lattice/pebble/bounds.hpp"
@@ -148,6 +147,7 @@ void LatticeEngine::advance(std::int64_t generations) {
   if (!initial_captured_) {
     const obs::ScopedTimer timer(EngineObs::get().capture_ns);
     initial_ = state_;
+    initial_generation_ = generation_;
     initial_captured_ = true;
   }
   if (injector_ != nullptr) {
@@ -263,13 +263,7 @@ void LatticeEngine::advance_guarded(std::int64_t generations) {
       if (exec_->try_degrade()) continue;
       if (config_.oracle_fallback) {
         const obs::TraceSpan oracle_span("engine.oracle");
-        if (backend_is_3d(config_.backend)) {
-          detail::reference_run3(state_, detail::extent3_of(config_),
-                                 lgca3d::to_boundary3(config_.boundary),
-                                 chunk, generation_);
-        } else {
-          lgca::reference_run(state_, *rule_, chunk, generation_);
-        }
+        detail::golden_run(config_, *rule_, state_, chunk, generation_);
         generation_ += chunk;
         ++oracle_passes_;
         obs::count(EngineObs::get().oracle_passes, 1);
@@ -371,13 +365,8 @@ MetricsReport LatticeEngine::snapshot() const {
 bool LatticeEngine::verify_against_reference() const {
   if (!initial_captured_) return true;
   lgca::SiteLattice replay = initial_;
-  if (backend_is_3d(config_.backend)) {
-    detail::reference_run3(replay, detail::extent3_of(config_),
-                           lgca3d::to_boundary3(config_.boundary),
-                           generation_, 0);
-  } else {
-    lgca::reference_run(replay, *rule_, generation_, 0);
-  }
+  detail::golden_run(config_, *rule_, replay, generation_ - initial_generation_,
+                     initial_generation_);
   return replay == state_;
 }
 

@@ -10,10 +10,12 @@
 
 namespace lattice::core::detail {
 
+/// Reference and Reference3.
 std::unique_ptr<BackendExec> make_reference_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
 
+/// BitPlane and BitPlane3.
 std::unique_ptr<BackendExec> make_bitplane_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
@@ -28,14 +30,6 @@ std::unique_ptr<BackendExec> make_spa_exec(LatticeEngine::Config& config,
                                            fault::FaultInjector* injector);
 
 std::unique_ptr<BackendExec> make_wsa_e_exec(
-    const LatticeEngine::Config& config, const lgca::Rule& rule,
-    fault::FaultInjector* injector);
-
-std::unique_ptr<BackendExec> make_reference3_exec(
-    const LatticeEngine::Config& config, const lgca::Rule& rule,
-    fault::FaultInjector* injector);
-
-std::unique_ptr<BackendExec> make_bitplane3_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
 

@@ -1,7 +1,12 @@
 // ReferenceExec — the golden double-buffered updater behind the
-// executor interface. Kernel selection happens once at construction:
-// gas rules get the fused CollisionLut sweep, anything else the
-// generic virtual-dispatch path; threads > 1 bands the rows either way.
+// executor interface, 2-D and 3-D. Kernel selection happens once at
+// construction: 2-D gas rules get the fused CollisionLut sweep, other
+// 2-D rules the generic virtual-dispatch path (threads > 1 bands the
+// rows either way). Backend::Reference3 runs the cubic gas's golden
+// updater over the flat {nx, ny·nz} state and stays deliberately
+// unclever: it is the oracle the BitPlane3 backend is measured
+// against, so it reuses the updater the parity tests trust rather than
+// growing a fast path of its own.
 
 #include <optional>
 
@@ -10,6 +15,7 @@
 #include "lattice/fault/memory_guard.hpp"
 #include "lattice/lgca/collision_lut.hpp"
 #include "lattice/lgca/reference.hpp"
+#include "volume3.hpp"
 
 namespace lattice::core::detail {
 
@@ -19,10 +25,13 @@ class ReferenceExec final : public BackendExec {
  public:
   ReferenceExec(const LatticeEngine::Config& config, const lgca::Rule& rule,
                 fault::FaultInjector* injector)
-      : BackendExec("reference", config.pipeline_depth),
-        rule_(&rule),
-        threads_(config.threads) {
-    if (config.fast_kernel) lut_ = lgca::CollisionLut::try_get(rule);
+      : BackendExec(backend_is_3d(config.backend) ? "reference3" : "reference",
+                    config.pipeline_depth),
+        config_(config),
+        rule_(&rule) {
+    if (config.fast_kernel && !backend_is_3d(config.backend)) {
+      lut_ = lgca::CollisionLut::try_get(rule);
+    }
     if (injector != nullptr) guard_.emplace(*injector);
     // Temporal blocking applies to the fused byte-LUT sweep only: the
     // generic virtual-dispatch path has no windowed row update, and
@@ -42,7 +51,9 @@ class ReferenceExec final : public BackendExec {
     if (guard_) {
       // Guarded: one generation at a time, so each fault lands (and is
       // audited) in the same generation that would read it on the
-      // bit-plane backend — the two fault runs stay like-for-like.
+      // bit-plane backend — the two fault runs stay like-for-like. The
+      // site guard keys its draws by global flat row (z·ny + y in 3-D),
+      // the same coordinates the plane guard uses.
       guard_->run_begin(state);
       for (std::int64_t g = 0; g < chunk; ++g) {
         guard_->inject_and_audit(state, generation + g);
@@ -77,23 +88,24 @@ class ReferenceExec final : public BackendExec {
                        std::int64_t generation) {
     if (lut_ != nullptr) {
       if (plan_.depth > 1) {
-        lgca::fused_gas_run_tiled(state, *lut_, chunk, generation, threads_,
-                                  plan_.tiling());
+        lgca::fused_gas_run_tiled(state, *lut_, chunk, generation,
+                                  config_.threads, plan_.tiling());
       } else {
-        lgca::fused_gas_run(state, *lut_, chunk, generation, threads_);
+        lgca::fused_gas_run(state, *lut_, chunk, generation, config_.threads);
       }
-    } else if (threads_ > 1) {
-      lgca::reference_run_parallel(state, *rule_, chunk, threads_, generation);
+    } else if (config_.threads > 1 && !backend_is_3d(config_.backend)) {
+      lgca::reference_run_parallel(state, *rule_, chunk, config_.threads,
+                                   generation);
     } else {
-      lgca::reference_run(state, *rule_, chunk, generation);
+      golden_run(config_, *rule_, state, chunk, generation);
     }
   }
 
   fault::FaultInjector* injector() { return guard_->injector(); }
 
+  LatticeEngine::Config config_;
   const lgca::Rule* rule_;
   const lgca::CollisionLut* lut_ = nullptr;
-  unsigned threads_;
   TilePlan plan_;
   std::optional<fault::SiteMemoryGuard> guard_;
 };
@@ -103,6 +115,10 @@ class ReferenceExec final : public BackendExec {
 std::unique_ptr<BackendExec> make_reference_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector) {
+  LATTICE_REQUIRE(!backend_is_3d(config.backend) ||
+                      config.custom_rule == nullptr,
+                  "the 3-D backends run the cubic gas only; custom "
+                  "rules have no 3-D form");
   return std::make_unique<ReferenceExec>(config, rule, injector);
 }
 

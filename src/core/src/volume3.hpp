@@ -1,8 +1,9 @@
 // Private helpers that let the dimension-blind engine layers carry a
-// 3-D volume: the engine's state stays a flat {nx, ny·nz} SiteLattice
-// (byte-compatible with lgca3d::Lattice3's raster), and these shims
-// move it across the Lattice3 boundary for the golden 3-D replay paths
-// (oracle fallback, verify_against_reference).
+// 3-D volume — the engine's state stays a flat {nx, ny·nz} SiteLattice
+// (byte-compatible with lgca3d::Lattice3's raster) — and the one place
+// that picks a config's golden updater, which every replay path (the
+// reference executor, the oracle fallback, verify_against_reference)
+// goes through.
 
 #pragma once
 
@@ -16,11 +17,12 @@ namespace lattice::core::detail {
 /// The semantic {nx, ny, nz} box of a 3-D engine config.
 lgca3d::Extent3 extent3_of(const LatticeEngine::Config& config);
 
-/// Golden gather-and-collide replay over the flat {nx, ny·nz} view:
-/// copy into a Lattice3, run `generations` reference steps from t0,
-/// copy back. The memcpy is exact because the two rasters coincide.
-void reference_run3(lgca::SiteLattice& state, lgca3d::Extent3 extent,
-                    lgca3d::Boundary3 boundary, std::int64_t generations,
-                    std::int64_t t0);
+/// Advance `state` by `generations` steps from t0 on the golden
+/// updater for `config`: lgca::reference_run of `rule` in 2-D; in 3-D
+/// the cubic gas's gather-and-collide updater over the flat view (copy
+/// into a Lattice3, run, copy back — exact, the rasters coincide).
+void golden_run(const LatticeEngine::Config& config, const lgca::Rule& rule,
+                lgca::SiteLattice& state, std::int64_t generations,
+                std::int64_t t0);
 
 }  // namespace lattice::core::detail

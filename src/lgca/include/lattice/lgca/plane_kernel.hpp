@@ -19,13 +19,16 @@
 // compiled in and handles the remainder + masked tail word even when a
 // vector path runs the bulk.
 //
-// Parallelism is static row-band ownership: plane_gas_run splits the
-// lattice into at most `threads` contiguous row bands, each owned by
-// one pool lane for the whole run, with one barrier per generation.
-// A grain-size floor collapses the band count (down to an inline
+// Parallelism is static band ownership: plane_gas_run splits the
+// lattice into at most `threads` contiguous bands of row units (see
+// PlaneUnitKernel — a row in 2-D, a z-slab in 3-D), each owned by one
+// pool lane for the whole run, with one barrier per generation. A
+// grain-size floor collapses the band count (down to an inline
 // single-band loop) when per-generation work is too small to pay for
 // the rendezvous, so thread scaling is monotone — more threads never
 // run slower than fewer (docs/ARCHITECTURE.md, "Threading contract").
+// The same driver runs lgca3d::PlaneKernel3; only the kernel knows the
+// dimension.
 //
 // Supported gases: HPP, FHP-I, FHP-II. FHP-III's collision table is a
 // cyclic permutation of (mass, momentum) equivalence classes and has no
@@ -55,7 +58,73 @@ struct PlaneSpanOps;
 /// megasite lattices run single-band regardless of Config::threads.
 inline constexpr std::int64_t kDefaultBandGrainWords = 16384;
 
-class PlaneKernel {
+/// What the plane drivers (plane_gas_run, plane_gas_run_tiled) need
+/// from a kernel. The drivers band and tile a flat PlaneLattice in
+/// *row units* of unit_rows() consecutive storage rows: one row for a
+/// 2-D gas (PlaneKernel), one ny-row z-slab for the cubic 3-D gas
+/// (lgca3d::PlaneKernel3, whose flat lattice is {nx, ny·nz} with row
+/// z·ny + y). Everything dimension-specific — tap resolution, boundary
+/// wraps, chirality coordinates — stays behind these calls, so one
+/// banded and one trapezoid-tiled driver serve every dimension.
+class PlaneUnitKernel {
+ public:
+  virtual ~PlaneUnitKernel() = default;
+
+  /// Bitmask (bit p = plane p) of the planes the update writes. The
+  /// complement is static for a whole run and is established once by
+  /// prime_static_planes() instead of being re-stored every word of
+  /// every generation.
+  virtual std::uint32_t written_planes() const noexcept = 0;
+
+  /// Bitmask of the planes the update gathers with a column shift —
+  /// the only planes whose shift halo must be current before an update
+  /// reads them.
+  virtual std::uint32_t halo_planes() const noexcept = 0;
+
+  /// One-time setup for a double-buffered run: zeroes the static-zero
+  /// planes (the update no longer clears them per word, and after
+  /// swaps the original buffer resurfaces as output) and copies the
+  /// obstacle plane into `next`, tail-masked. After this, both buffers
+  /// agree on every plane outside written_planes() for the rest of the
+  /// run.
+  virtual void prime_static_planes(PlaneLattice& lat,
+                                   PlaneLattice& next) const = 0;
+
+  /// Storage rows per row unit (>= 1); the lattice height is a
+  /// multiple of it.
+  virtual std::int64_t unit_rows() const noexcept = 0;
+
+  /// Compute generation-(t+1) units [u0, u1) of `next` from the
+  /// generation-t lattice `cur`, whose shift halo must be current for
+  /// halo_planes() and whose static planes must be primed. On return
+  /// the produced rows of `next` are halo-ready for the following
+  /// generation — the fill happens here, band-locally and cache-hot,
+  /// rather than as a serial full-lattice walk between generations.
+  virtual void update_units(PlaneLattice& next, const PlaneLattice& cur,
+                            std::int64_t t, std::int64_t u0,
+                            std::int64_t u1) const = 0;
+
+  /// Windowed single-unit update for the tiled driver (temporal_tile.hpp):
+  /// compute one unit into `next` at storage unit `dst_u` from `cur`
+  /// centered on storage unit `src_u`, where the two lattices may have
+  /// different heights (a trapezoid scratch strip vs the real lattice).
+  /// `sem_u` is the unit's *semantic* lattice coordinate — it alone
+  /// drives the parity-dependent taps and the chirality hash, so a
+  /// scratch strip whose storage units are offset (or wrapped) from
+  /// the lattice's still reproduces the golden update bit-exactly.
+  /// Neighbor units resolve as src_u ± 1 against cur's own height and
+  /// boundary (out-of-range reads zero under Null); the caller
+  /// guarantees that resolution lands on units holding generation-t
+  /// content whose shift halo is current. update_units is exactly this
+  /// with dst_u == src_u == sem_u. Does NOT fill the produced unit's
+  /// halo — the callers choose between band-local and per-unit fills.
+  virtual void update_unit_window(PlaneLattice& next, std::int64_t dst_u,
+                                  const PlaneLattice& cur, std::int64_t src_u,
+                                  std::int64_t sem_u, std::int64_t t) const = 0;
+};
+
+/// The 2-D gas kernel; its row unit is one storage row.
+class PlaneKernel final : public PlaneUnitKernel {
  public:
   /// True when `kind` has a boolean-algebra kernel (HPP, FHP-I/II).
   static bool supports(GasKind kind) noexcept;
@@ -71,61 +140,41 @@ class PlaneKernel {
   const GasModel& model() const noexcept { return *model_; }
   GasKind kind() const noexcept { return model_->kind(); }
 
-  /// Bitmask (bit p = plane p) of the planes the update writes: the
-  /// gas's moving channels, plus the rest plane when it has rest
-  /// particles. The complement is static for a whole run — HPP's
-  /// unused channels 4/5, an absent rest plane, the obstacle mask —
-  /// and is established once by prime_static_planes() instead of being
-  /// re-stored every word of every generation.
-  std::uint32_t written_planes() const noexcept { return written_; }
+  /// The gas's moving channels, plus the rest plane when it has rest
+  /// particles. HPP's unused channels 4/5, an absent rest plane and
+  /// the obstacle mask are static.
+  std::uint32_t written_planes() const noexcept override { return written_; }
 
-  /// Bitmask of the planes the update gathers with a column shift
-  /// (tap dx != 0 on either row parity) — the only planes whose shift
-  /// halo must be current before update_rows reads them. Rest and
-  /// obstacle are always read unshifted; for HPP even the N/S channel
-  /// planes drop out, leaving just E/W.
-  std::uint32_t halo_planes() const noexcept { return halo_; }
+  /// Planes with a tap dx != 0 on either row parity. Rest and obstacle
+  /// are always read unshifted; for HPP even the N/S channel planes
+  /// drop out, leaving just E/W.
+  std::uint32_t halo_planes() const noexcept override { return halo_; }
 
-  /// One-time setup for a double-buffered run: zeroes this gas's
-  /// static-zero planes in `lat` (the kernel no longer clears them per
-  /// word, and after swaps the original buffer resurfaces as output)
-  /// and copies the obstacle plane into `next`, tail-masked. After
-  /// this, both buffers agree on every plane outside written_planes()
-  /// for the rest of the run.
-  void prime_static_planes(PlaneLattice& lat, PlaneLattice& next) const;
+  void prime_static_planes(PlaneLattice& lat,
+                           PlaneLattice& next) const override;
 
-  /// Compute generation-(t+1) rows [y0, y1) of `next` from the
-  /// generation-t lattice `cur`, whose shift halo must have been
-  /// prepared for halo_planes() (PlaneLattice::prepare_shift_halo),
-  /// and whose static planes must have been primed. Column-tiled so
-  /// the three source row strips plus the destination strip stay cache
-  /// resident on wide lattices; tile_words == 0 picks the default
-  /// L2-sized tile. On return the produced rows of `next` are
-  /// halo-ready for the following generation — the fill happens here,
-  /// band-locally and cache-hot, rather than as a serial full-lattice
-  /// walk between generations. Runs at the process-wide active SIMD
-  /// level (plane_simd_active). Bit-identical to GasRule::apply per
-  /// site.
+  std::int64_t unit_rows() const noexcept override { return 1; }
+
+  /// Compute generation-(t+1) rows [y0, y1) of `next` from `cur` (see
+  /// update_units). Column-tiled so the three source row strips plus
+  /// the destination strip stay cache resident on wide lattices;
+  /// tile_words == 0 picks the default L2-sized tile. Runs at the
+  /// process-wide active SIMD level (plane_simd_active). Bit-identical
+  /// to GasRule::apply per site.
   void update_rows(PlaneLattice& next, const PlaneLattice& cur,
                    std::int64_t t, std::int64_t y0, std::int64_t y1,
                    std::int64_t tile_words = 0) const;
 
-  /// Windowed single-row update for the temporal tiling driver
-  /// (temporal_tile.hpp): compute one full row into `next` at storage
-  /// row `dst_y` from `cur` centered on storage row `src_y`, where the
-  /// two lattices may have different heights (a trapezoid scratch strip
-  /// vs the real lattice). `sem_y` is the row's *semantic* lattice
-  /// coordinate — it alone drives the hex-parity tap set and the
-  /// per-event chirality hash, so a scratch strip whose storage rows
-  /// are offset (or wrapped) from the lattice rows still reproduces the
-  /// golden update bit-exactly. Source rows resolve as src_y + tap.dy
-  /// against cur's own height and boundary (out-of-range reads zero
-  /// under Null); the caller guarantees that resolution lands on rows
-  /// holding generation-t content whose shift halo is current.
-  /// update_rows is exactly this with dst_y == src_y == sem_y.
-  void update_row_window(PlaneLattice& next, std::int64_t dst_y,
-                         const PlaneLattice& cur, std::int64_t src_y,
-                         std::int64_t sem_y, std::int64_t t) const;
+  void update_units(PlaneLattice& next, const PlaneLattice& cur, std::int64_t t,
+                    std::int64_t y0, std::int64_t y1) const override {
+    update_rows(next, cur, t, y0, y1);
+  }
+
+  /// One full row; `sem_y` selects the hex-parity tap set and feeds the
+  /// per-event chirality hash.
+  void update_unit_window(PlaneLattice& next, std::int64_t dst_y,
+                          const PlaneLattice& cur, std::int64_t src_y,
+                          std::int64_t sem_y, std::int64_t t) const override;
 
  private:
   explicit PlaneKernel(GasKind kind);
@@ -166,10 +215,9 @@ class PlaneRunHooks {
 
   /// Once per run, serially, after static planes are primed and the
   /// generation-t0 shift halo is filled, before any update. The masks
-  /// are the running kernel's written_planes()/halo_planes() — passed
-  /// as plain masks rather than a kernel reference so the same hooks
-  /// serve every plane-coded runner (the 3-D kernel included), which
-  /// all share the PlaneLattice storage contract.
+  /// are the running kernel's written_planes()/halo_planes(); the
+  /// lattice is the flat storage every kernel shares (row z·ny + y for
+  /// the 3-D gas), so the same hooks serve every dimension.
   virtual void run_begin(PlaneLattice& lat, std::uint32_t written_planes,
                          std::uint32_t halo_planes, std::int64_t t0) = 0;
 
@@ -187,25 +235,19 @@ class PlaneRunHooks {
                           std::int64_t y0, std::int64_t y1) = 0;
 };
 
-/// Advance `lat` by `generations` gas steps on the bit-plane kernel,
-/// double-buffered. Up to `threads` static row bands are owned by
+/// Advance `lat` by `generations` steps of `kernel`, double-buffered.
+/// Up to `threads` static bands of whole row units are owned by
 /// persistent pool lanes with one barrier per generation; the planner
 /// never makes a band smaller than `band_grain_words` payload words
 /// (0 picks kDefaultBandGrainWords), collapsing to an inline
 /// single-band loop when the lattice is too small to parallelize
-/// profitably. Bit-identical to reference_run / fused_gas_run of the
-/// same kind for any thread count and any SIMD level.
-void plane_gas_run(PlaneLattice& lat, const PlaneKernel& kernel,
+/// profitably. `hooks` see flat storage rows (a band of units
+/// [u0, u1) is rows [u0·unit_rows, u1·unit_rows)). Bit-identical to
+/// the kernel's golden updater for any thread count and any SIMD
+/// level. Defined with the tiled driver in temporal_tile.cpp.
+void plane_gas_run(PlaneLattice& lat, const PlaneUnitKernel& kernel,
                    std::int64_t generations, std::int64_t t0 = 0,
                    unsigned threads = 1, std::int64_t band_grain_words = 0,
                    PlaneRunHooks* hooks = nullptr);
-
-/// Byte-lattice convenience wrapper: pack once, run, unpack once. The
-/// transpose costs ~one byte-path generation, so it amortizes over
-/// multi-generation runs.
-void bitplane_gas_run(SiteLattice& lat, const PlaneKernel& kernel,
-                      std::int64_t generations, std::int64_t t0 = 0,
-                      unsigned threads = 1, std::int64_t band_grain_words = 0,
-                      PlaneRunHooks* hooks = nullptr);
 
 }  // namespace lattice::lgca

@@ -30,13 +30,18 @@
 // Intermediate generations live in two per-worker scratch strips of
 // tile_rows + 2(depth-1) rows that ping-pong between steps; only the
 // final step writes the real double buffer. Correctness of the
-// windowed row update (storage row vs semantic row, hex parity,
-// chirality hash, boundary resolution) is documented on
-// PlaneKernel::update_row_window / CollisionLut::update_span_window.
+// windowed update (storage row vs semantic row, hex parity, chirality
+// hash, boundary resolution) is documented on
+// PlaneUnitKernel::update_unit_window / CollisionLut::update_span_window.
 // Everything here is bit-identical to plane_gas_run / fused_gas_run
 // for every (gas, boundary, SIMD level, thread count, depth) — by the
 // induction above, and by the tile-seam sweep in
 // tests/test_temporal_tile.cpp.
+//
+// The plane driver is dimension-generic: it tiles in row units (see
+// PlaneUnitKernel), so "row" above reads "z-slab" for the 3-D gas —
+// the same Theorem 4 schedule at d = 3, R = O(B·S^(1/3)). The byte-LUT
+// driver walks the identical trapezoid over byte rows.
 
 #pragma once
 
@@ -72,27 +77,33 @@ bool temporal_tiling_feasible(const TemporalTiling& tiling, Extent extent,
                               Boundary boundary);
 
 /// plane_gas_run with temporal blocking: advance `lat` by `generations`
-/// gas steps, computing tiling.depth generations per cache-resident
-/// trapezoidal tile. Tiles of one block are independent (redundant
-/// seam recompute) and are distributed over up to `threads` pool lanes;
-/// one barrier per block (i.e. per depth generations) replaces the
-/// plain runner's barrier per generation. `hooks` fire at block
-/// granularity — before_rows over the full committed lattice before a
-/// block, after_rows after it — so fault injection strikes the
+/// steps of `kernel`, computing tiling.depth generations per
+/// cache-resident trapezoidal tile of tiling.tile_rows row units (rows
+/// in 2-D, z-slabs in 3-D). Tiles of one block are independent
+/// (redundant seam recompute) and are distributed over up to `threads`
+/// pool lanes; one barrier per block (i.e. per depth generations)
+/// replaces the plain runner's barrier per generation. `hooks` fire at
+/// block granularity — before_rows over the full committed lattice
+/// before a block, after_rows after it — so fault injection strikes the
 /// DRAM-resident committed state while cache-resident intermediates
 /// stay clean, and a detected fault still rolls the whole block back.
-/// Bit-identical to plane_gas_run for any tiling.
-void plane_gas_run_tiled(PlaneLattice& lat, const PlaneKernel& kernel,
+/// Falls back to plane_gas_run when the tiling is infeasible over the
+/// {width, height / unit_rows} unit extent. Bit-identical to
+/// plane_gas_run for any tiling.
+void plane_gas_run_tiled(PlaneLattice& lat, const PlaneUnitKernel& kernel,
                          std::int64_t generations, std::int64_t t0,
                          unsigned threads, const TemporalTiling& tiling,
                          PlaneRunHooks* hooks = nullptr);
 
-/// Byte-lattice convenience wrapper: pack once, run tiled, unpack once
-/// (the bitplane_gas_run counterpart).
-void bitplane_gas_run_tiled(SiteLattice& lat, const PlaneKernel& kernel,
-                            std::int64_t generations, std::int64_t t0,
-                            unsigned threads, const TemporalTiling& tiling,
-                            PlaneRunHooks* hooks = nullptr);
+/// Byte-lattice convenience wrapper for every plane kernel: pack once,
+/// run plane_gas_run_tiled (the plain sweep under the default, untiled
+/// `tiling`), unpack once. A 3-D kernel takes the flat {nx, ny·nz} byte
+/// view. The transpose costs ~one byte-path generation, so it
+/// amortizes over multi-generation runs.
+void bitplane_gas_run(SiteLattice& lat, const PlaneUnitKernel& kernel,
+                      std::int64_t generations, std::int64_t t0 = 0,
+                      unsigned threads = 1, const TemporalTiling& tiling = {},
+                      PlaneRunHooks* hooks = nullptr);
 
 /// fused_gas_run with temporal blocking — the byte-LUT path of the
 /// reference executor, covering all four gases (including FHP-III,

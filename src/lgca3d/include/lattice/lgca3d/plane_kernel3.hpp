@@ -1,4 +1,4 @@
-// Bit-parallel update of the cubic 3-D gas over PlaneLattice3 planes.
+// Bit-parallel update of the cubic 3-D gas over the PlaneLattice3 planes.
 //
 // Same construction as the 2-D PlaneKernel, one dimension up:
 // propagation is a funnel shift on the ±x channel planes (identical
@@ -25,21 +25,21 @@
 // bit), and the obstacle plane itself is static — primed once per run.
 // The spans here are scalar64 only: the 3-D kernel is new enough that
 // the vector variants have not been ported, and because every fault
-// draw is keyed by global (x, y, z) through the flattened inner
-// lattice, scalar-only execution is bit-identical on every host no
-// matter which SIMD level the 2-D kernels dispatch to. Bit-identical
-// to lgca3d::reference_step per site, by construction and by the
+// draw is keyed by global (x, y, z) through the flat lattice,
+// scalar-only execution is bit-identical on every host no matter which
+// SIMD level the 2-D kernels dispatch to. Bit-identical to
+// lgca3d::reference_step per site, by construction and by the
 // exhaustive parity matrix in tests/test_plane_lattice3.cpp.
 //
-// Threading mirrors plane_gas_run, with the band unit promoted from a
-// row to a z-plane: up to `threads` contiguous z-slabs are owned by
-// persistent pool lanes, one barrier per generation. This z-slab
-// decomposition is the software shape of the sliced 3-D SPA — slabs of
-// z-planes exchanging faces (the slab-boundary rows the neighbor bands
-// gather) at each generation barrier, generalizing the 2-D strip
-// machines' side channels. plane_gas_run_tiled3 is the §7 Theorem 4
-// schedule in d = 3: trapezoidal z-slab tiles advanced depth
-// generations per memory visit, R = O(B·S^(1/3)).
+// There is no 3-D driver. PlaneKernel3 is an lgca::PlaneUnitKernel
+// over the flat {nx, ny·nz} PlaneLattice (row z·ny + y) whose row unit
+// is one z-slab of ny rows, so lgca::plane_gas_run and
+// lgca::plane_gas_run_tiled band and tile it exactly as they do a 2-D
+// gas: up to `threads` contiguous z-slab bands owned by persistent
+// pool lanes, one barrier per generation — the software shape of the
+// sliced 3-D SPA, slabs exchanging faces at each generation barrier —
+// and trapezoidal z-slab tiles advanced depth generations per memory
+// visit, the §7 Theorem 4 schedule at d = 3, R = O(B·S^(1/3)).
 
 #pragma once
 
@@ -51,99 +51,50 @@
 
 namespace lattice::lgca3d {
 
-class PlaneKernel3 {
+class PlaneKernel3 final : public lgca::PlaneUnitKernel {
  public:
-  /// The (immutable) singleton — one 3-D gas, one kernel.
-  static const PlaneKernel3& get();
+  /// The kernel for volumes with `ny` rows per z-plane: its row unit
+  /// is one z-slab of the flat lattice.
+  explicit PlaneKernel3(std::int64_t ny);
 
   /// The six channel planes; obstacle (7) is static, 6 is unused.
-  std::uint32_t written_planes() const noexcept { return 0x3fu; }
+  std::uint32_t written_planes() const noexcept override { return 0x3fu; }
   /// Only the ±x channels gather with a column shift.
-  std::uint32_t halo_planes() const noexcept { return 0x03u; }
+  std::uint32_t halo_planes() const noexcept override { return 0x03u; }
 
-  /// One-time run setup, as in the 2-D kernel: zero the static-zero
-  /// plane (6) in both buffers and copy the obstacle plane into
-  /// `next`, tail-masked.
-  void prime_static_planes(PlaneLattice3& lat, PlaneLattice3& next) const;
+  /// Zero the static-zero plane (6) in both buffers and copy the
+  /// obstacle plane into `next`, tail-masked.
+  void prime_static_planes(lgca::PlaneLattice& lat,
+                           lgca::PlaneLattice& next) const override;
 
-  /// Compute generation-(t+1) z-planes [z0, z1) of `next` from the
-  /// generation-t lattice `cur`, whose ±x shift halo must be current
-  /// (prepare_shift_halo) and whose static planes must be primed. On
-  /// return the produced z-planes of `next` are halo-ready for the
-  /// following generation.
-  void update_planes(PlaneLattice3& next, const PlaneLattice3& cur,
-                     std::int64_t t, std::int64_t z0, std::int64_t z1) const;
+  std::int64_t unit_rows() const noexcept override { return ny_; }
 
-  /// Windowed single-z-plane update for the temporal tiling driver:
-  /// compute one full z-plane into `next` at storage plane `dst_z`
-  /// from `cur` centered on storage plane `src_z`, where the two
-  /// lattices may have different depths (a trapezoid scratch slab vs
-  /// the real volume). `sem_z` is the plane's semantic lattice
-  /// coordinate — it feeds the chirality hash alone, since the cubic
-  /// taps have no parity structure. Source z-planes resolve as
-  /// src_z ± 1 against cur's own depth and boundary (out-of-range
-  /// reads zero under Null); y taps resolve within the z-plane, x taps
-  /// through the shift halo. update_planes is exactly this with
-  /// dst_z == src_z == sem_z. Does NOT fill the produced plane's
-  /// halo — the callers decide between band-local and per-plane fills.
-  void update_plane_window(PlaneLattice3& next, std::int64_t dst_z,
-                           const PlaneLattice3& cur, std::int64_t src_z,
-                           std::int64_t sem_z, std::int64_t t) const;
+  /// Compute generation-(t+1) z-planes [z0, z1) (see
+  /// PlaneUnitKernel::update_units).
+  void update_units(lgca::PlaneLattice& next, const lgca::PlaneLattice& cur,
+                    std::int64_t t, std::int64_t z0,
+                    std::int64_t z1) const override;
+
+  /// One full z-plane. `sem_z` feeds the chirality hash alone, since
+  /// the cubic taps have no parity structure. Source z-planes resolve
+  /// as src_z ± 1 against cur's own depth (height / ny) and boundary;
+  /// y taps resolve within the z-plane, x taps through the shift halo.
+  void update_unit_window(lgca::PlaneLattice& next, std::int64_t dst_z,
+                          const lgca::PlaneLattice& cur, std::int64_t src_z,
+                          std::int64_t sem_z, std::int64_t t) const override;
 
  private:
-  PlaneKernel3() = default;
+  std::int64_t ny_;
 };
 
-/// Advance `lat` by `generations` steps of the 3-D gas, double-
-/// buffered, with up to `threads` z-slab bands (one barrier per
-/// generation; a band never owns less than `band_grain_words` payload
-/// words per plane per generation — 0 picks the 2-D planner's
-/// kDefaultBandGrainWords — so thread scaling stays monotone). `hooks`
-/// observe the flattened inner lattice (row r = z*ny + y), which is how
-/// the plane-memory fault guard rides the 3-D runner unchanged.
-/// Bit-identical to reference_run for any thread count.
+/// lgca::plane_gas_run with the 3-D kernel on a packed volume.
 void plane_gas_run3(PlaneLattice3& lat, std::int64_t generations,
-                    std::int64_t t0 = 0, unsigned threads = 1,
-                    std::int64_t band_grain_words = 0,
-                    lgca::PlaneRunHooks* hooks = nullptr);
+                    std::int64_t t0 = 0, unsigned threads = 1);
 
-/// Whether the tiled driver would actually tile: same predicate as the
-/// 2-D temporal_tiling_feasible with rows promoted to z-planes
-/// (tiling.tile_rows = output z-planes per tile).
-bool temporal_tiling_feasible3(const lgca::TemporalTiling& tiling,
-                               Extent3 extent, Boundary3 boundary);
-
-/// plane_gas_run3 with temporal blocking: tiling.depth generations per
-/// trapezoidal z-slab tile, redundant seam recompute, one barrier per
-/// block. Falls back to plane_gas_run3 when the tiling is infeasible.
-/// Bit-identical to plane_gas_run3 for any tiling.
+/// lgca::plane_gas_run_tiled with the 3-D kernel on a packed volume;
+/// tiling.tile_rows counts output z-planes per tile.
 void plane_gas_run_tiled3(PlaneLattice3& lat, std::int64_t generations,
                           std::int64_t t0, unsigned threads,
-                          const lgca::TemporalTiling& tiling,
-                          lgca::PlaneRunHooks* hooks = nullptr);
-
-/// Byte-volume convenience wrappers: pack once, run, unpack once.
-void bitplane_gas_run3(Lattice3& lat, std::int64_t generations,
-                       std::int64_t t0 = 0, unsigned threads = 1,
-                       std::int64_t band_grain_words = 0,
-                       lgca::PlaneRunHooks* hooks = nullptr);
-void bitplane_gas_run_tiled3(Lattice3& lat, std::int64_t generations,
-                             std::int64_t t0, unsigned threads,
-                             const lgca::TemporalTiling& tiling,
-                             lgca::PlaneRunHooks* hooks = nullptr);
-
-/// The engine-facing flattened form: `lat` must be the {nx, ny*nz}
-/// byte view of an {nx, ny, nz} volume (lgca3d::flat_extent), boundary
-/// mapped through to_boundary2.
-void bitplane_gas_run3(lgca::SiteLattice& lat, Extent3 extent,
-                       std::int64_t generations, std::int64_t t0 = 0,
-                       unsigned threads = 1,
-                       std::int64_t band_grain_words = 0,
-                       lgca::PlaneRunHooks* hooks = nullptr);
-void bitplane_gas_run_tiled3(lgca::SiteLattice& lat, Extent3 extent,
-                             std::int64_t generations, std::int64_t t0,
-                             unsigned threads,
-                             const lgca::TemporalTiling& tiling,
-                             lgca::PlaneRunHooks* hooks = nullptr);
+                          const lgca::TemporalTiling& tiling);
 
 }  // namespace lattice::lgca3d

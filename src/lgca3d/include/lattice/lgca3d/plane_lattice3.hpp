@@ -59,9 +59,9 @@ class PlaneLattice3 {
   std::uint64_t tail_mask() const noexcept { return inner_.tail_mask(); }
 
   /// The flattened 2-D lattice ({nx, ny*nz}; row r = z*ny + y). The
-  /// fault guard and the run hooks operate on this view, which is what
-  /// keys every fault draw by global row — identical across SIMD
-  /// levels and identical between 2-D and 3-D executors.
+  /// plane drivers, the fault guard and the run hooks all operate on
+  /// this view, which is what keys every fault draw by global row —
+  /// identical across SIMD levels and between 2-D and 3-D executors.
   lgca::PlaneLattice& inner() noexcept { return inner_; }
   const lgca::PlaneLattice& inner() const noexcept { return inner_; }
 
@@ -73,13 +73,6 @@ class PlaneLattice3 {
   const std::uint64_t* row(int plane, std::int64_t z,
                            std::int64_t y) const noexcept {
     return inner_.row(plane, z * extent_.ny + y);
-  }
-  const std::uint64_t* zero_row() const noexcept { return inner_.zero_row(); }
-
-  /// Fill the x shift halo of the named planes for z-planes [z0, z1).
-  void prepare_shift_halo(std::uint32_t plane_mask, std::int64_t z0,
-                          std::int64_t z1) {
-    inner_.prepare_shift_halo(plane_mask, z0 * extent_.ny, z1 * extent_.ny);
   }
 
   void pack(const Lattice3& sites);

@@ -18,6 +18,7 @@
 #include "lattice/lgca/plane_kernel.hpp"
 #include "lattice/lgca/plane_simd.hpp"
 #include "lattice/lgca/reference.hpp"
+#include "lattice/lgca/temporal_tile.hpp"
 
 namespace lattice::lgca {
 namespace {
@@ -43,6 +44,16 @@ SiteLattice plane_next(const SiteLattice& lat, const PlaneKernel& kernel,
   cur.prepare_shift_halo(kernel.halo_planes(), 0, lat.extent().height);
   kernel.update_rows(next, cur, t, 0, lat.extent().height, tile_words);
   return next.to_sites();
+}
+
+/// bitplane_gas_run with the band planner's grain floor set to
+/// `grain_words`, so a small lattice takes the real multi-band path.
+void banded_run(SiteLattice& lat, const PlaneKernel& kernel,
+                std::int64_t generations, std::int64_t t0, unsigned threads,
+                std::int64_t grain_words) {
+  PlaneLattice planes(lat);
+  plane_gas_run(planes, kernel, generations, t0, threads, grain_words);
+  planes.unpack(lat);
 }
 
 class BitPlaneGasTest : public ::testing::TestWithParam<GasKind> {};
@@ -186,8 +197,7 @@ TEST_P(BitPlaneParallelTest, AnyWorkerCountIsBitIdenticalToSerial) {
     fill_random(serial, rule.model(), 0.3, 21, 0.15);
     SiteLattice banded = serial;
     bitplane_gas_run(serial, kernel, 15, /*t0=*/1, /*threads=*/1);
-    bitplane_gas_run(banded, kernel, 15, /*t0=*/1, threads,
-                     /*band_grain_words=*/1);
+    banded_run(banded, kernel, 15, /*t0=*/1, threads, /*grain_words=*/1);
     EXPECT_TRUE(serial == banded) << "threads " << threads;
   }
 }
@@ -221,7 +231,7 @@ TEST(BitPlaneParallel, SameSeedOneVsEightThreadsIsDeterministic) {
   add_obstacle_disk(banded, 160, 48, 11);
   ASSERT_TRUE(serial == banded);  // same seed ⇒ same start
   bitplane_gas_run(serial, kernel, 50, 0, 1);
-  bitplane_gas_run(banded, kernel, 50, 0, 8, /*band_grain_words=*/16);
+  banded_run(banded, kernel, 50, 0, 8, /*grain_words=*/16);
   EXPECT_TRUE(serial == banded);
 }
 

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "lattice/core/engine.hpp"
 #include "lattice/lgca/ca_rules.hpp"
 #include "lattice/lgca/init.hpp"
 #include "lattice/lgca/observables.hpp"
+#include "lattice/lgca3d/lattice3.hpp"
 
 namespace lattice::core {
 namespace {
@@ -313,6 +316,37 @@ TEST(Engine, AdvanceZeroIsNoOp) {
   e.advance(0);
   EXPECT_TRUE(e.state() == before);
   EXPECT_EQ(e.generation(), 0);
+}
+
+TEST(Engine, VerifiesAfterRestoreIntoFreshEngine) {
+  // The serve layer brings every spooled session back this way: a
+  // fresh engine restores a checkpoint taken at generation g > 0
+  // before its first advance(). The golden replay must start from g,
+  // not from 0.
+  for (const Backend b : {Backend::BitPlane, Backend::BitPlane3}) {
+    LatticeEngine::Config c = base_config(b);
+    if (backend_is_3d(b)) c.depth = 4;
+    LatticeEngine a(c);
+    if (backend_is_3d(b)) {
+      lgca3d::Lattice3 vol({c.extent.width, c.extent.height, c.depth},
+                           lgca3d::Boundary3::Null);
+      lgca3d::fill_random(vol, 0.3, 77);
+      std::memcpy(a.state().grid().data(), vol.data(), vol.site_count());
+    } else {
+      seed(a);
+    }
+    a.advance(4);
+    const EngineCheckpoint ckpt = a.checkpoint();
+
+    LatticeEngine fresh(c);
+    fresh.restore(ckpt);
+    fresh.advance(6);
+    EXPECT_EQ(fresh.generation(), 10);
+    EXPECT_TRUE(fresh.verify_against_reference())
+        << (backend_is_3d(b) ? "BitPlane3" : "BitPlane");
+    a.advance(6);
+    EXPECT_TRUE(fresh.state() == a.state());
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "lattice/core/engine.hpp"
@@ -20,6 +21,8 @@
 #include "lattice/lgca/init.hpp"
 #include "lattice/lgca/plane_kernel.hpp"
 #include "lattice/lgca/plane_simd.hpp"
+#include "lattice/lgca/temporal_tile.hpp"
+#include "lattice/lgca3d/plane_kernel3.hpp"
 
 namespace lattice {
 namespace {
@@ -141,7 +144,7 @@ TEST(PlaneMemoryGuard, ParityShadowCatchesEveryPayloadFlipInItsPass) {
   fault::PlaneMemoryGuard guard(inj);
   lgca::SiteLattice lat = seeded_lattice({64, 48}, lgca::Boundary::Null);
   lgca::bitplane_gas_run(lat, lgca::PlaneKernel::get(lgca::GasKind::FHP_II),
-                         1, 0, 1, 0, &guard);
+                         1, 0, 1, {}, &guard);
   const fault::FaultCounters& c = inj.counters();
   ASSERT_GT(c.injected_plane, 0);
   EXPECT_EQ(c.detected_shadow, c.injected_plane)
@@ -162,7 +165,7 @@ TEST(PlaneMemoryGuard, HaloCanaryCatchesEveryGuardWordFlip) {
     fault::PlaneMemoryGuard guard(inj);
     lgca::SiteLattice lat = seeded_lattice({64, 32}, boundary);
     lgca::bitplane_gas_run(lat, lgca::PlaneKernel::get(lgca::GasKind::FHP_II),
-                           1, 0, 1, 0, &guard);
+                           1, 0, 1, {}, &guard);
     const fault::FaultCounters& c = inj.counters();
     EXPECT_EQ(c.injected_plane, 32);
     EXPECT_EQ(c.detected_canary, 32)
@@ -179,17 +182,31 @@ struct GuardRunResult {
 };
 
 GuardRunResult run_guarded(const fault::FaultPlan& plan,
-                           lgca::Boundary boundary, unsigned threads,
+                           const lgca::PlaneUnitKernel& kernel,
+                           const lgca::SiteLattice& start, unsigned threads,
                            std::int64_t grain_words) {
   fault::FaultInjector inj(plan);
   fault::PlaneMemoryGuard guard(inj);
-  GuardRunResult r{fault::FaultCounters{},
-                   seeded_lattice({100, 40}, boundary)};
-  lgca::bitplane_gas_run(r.state,
-                         lgca::PlaneKernel::get(lgca::GasKind::FHP_II), 24, 0,
-                         threads, grain_words, &guard);
-  r.counters = inj.counters();
-  return r;
+  lgca::PlaneLattice planes(start);
+  lgca::plane_gas_run(planes, kernel, 24, 0, threads, grain_words, &guard);
+  return {inj.counters(), planes.to_sites()};
+}
+
+GuardRunResult run_guarded(const fault::FaultPlan& plan,
+                           lgca::Boundary boundary, unsigned threads,
+                           std::int64_t grain_words) {
+  return run_guarded(plan, lgca::PlaneKernel::get(lgca::GasKind::FHP_II),
+                     seeded_lattice({100, 40}, boundary), threads, grain_words);
+}
+
+/// A seeded cubic-gas volume as the flat {nx, ny·nz} byte view the
+/// 3-D kernel runs on.
+lgca::SiteLattice seeded_volume(lgca3d::Extent3 e) {
+  lgca3d::Lattice3 vol(e, lgca3d::Boundary3::Periodic);
+  lgca3d::fill_random(vol, 0.3, 31);
+  lgca::SiteLattice flat(lgca3d::flat_extent(e), lgca::Boundary::Periodic);
+  std::memcpy(flat.grid().data(), vol.data(), vol.site_count());
+  return flat;
 }
 
 void expect_same_counters(const fault::FaultCounters& a,
@@ -213,16 +230,35 @@ fault::FaultPlan mixed_plane_plan() {
 
 TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreBandCountInvariant) {
   // Faults are keyed by global lattice coordinates and detectors are
-  // per-row, so splitting the sweep into concurrent row bands must not
+  // per-row, so splitting the sweep into concurrent bands must not
   // change a single counter (or the corrupted evolution itself). The
-  // tiny grain forces the banded path with its injection barrier.
-  const GuardRunResult serial =
-      run_guarded(mixed_plane_plan(), lgca::Boundary::Periodic, 1, 0);
-  const GuardRunResult banded =
-      run_guarded(mixed_plane_plan(), lgca::Boundary::Periodic, 4, 8);
-  ASSERT_GT(serial.counters.injected(), 0);
-  expect_same_counters(serial.counters, banded.counters);
-  EXPECT_TRUE(serial.state == banded.state);
+  // tiny grain forces the banded path with its injection barrier: row
+  // bands in 2-D, z-slab bands of the flat lattice (hooks over rows
+  // z0·ny..z1·ny) for the 3-D kernel, whose engine runs never band at
+  // test sizes under the default grain.
+  const lgca3d::PlaneKernel3 cubic(6);
+  struct Input {
+    const char* name;
+    const lgca::PlaneUnitKernel& kernel;
+    lgca::SiteLattice start;
+    std::int64_t grain_words;
+  };
+  const Input inputs[] = {
+      {"2-D FHP-II", lgca::PlaneKernel::get(lgca::GasKind::FHP_II),
+       seeded_lattice({100, 40}, lgca::Boundary::Periodic), 8},
+      {"3-D cubic", cubic, seeded_volume({70, 6, 8}), 1},
+  };
+  const fault::FaultPlan plan = mixed_plane_plan();
+  for (const Input& in : inputs) {
+    const GuardRunResult serial =
+        run_guarded(plan, in.kernel, in.start, 1, in.grain_words);
+    const GuardRunResult banded =
+        run_guarded(plan, in.kernel, in.start, 4, in.grain_words);
+    SCOPED_TRACE(in.name);
+    ASSERT_GT(serial.counters.injected(), 0);
+    expect_same_counters(serial.counters, banded.counters);
+    EXPECT_TRUE(serial.state == banded.state);
+  }
 }
 
 TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreSimdLevelInvariant) {

@@ -30,6 +30,33 @@ Lattice3 make_volume(Extent3 e, Boundary3 b, std::uint64_t seed) {
   return lat;
 }
 
+/// Pack, advance on the shared banded driver with the 3-D kernel,
+/// unpack. `grain_words` is the band planner's grain floor (0 = the
+/// default); a grain of 1 forces real multi-band execution on small
+/// volumes when threads > 1.
+void run3(Lattice3& lat, std::int64_t generations, std::int64_t t0 = 0,
+          unsigned threads = 1, std::int64_t grain_words = 0) {
+  PlaneLattice3 planes(lat);
+  lgca::plane_gas_run(planes.inner(), PlaneKernel3(lat.extent().ny),
+                      generations, t0, threads, grain_words);
+  planes.unpack(lat);
+}
+
+/// The same through the trapezoid-tiled driver.
+void run_tiled3(Lattice3& lat, std::int64_t generations, std::int64_t t0,
+                unsigned threads, const lgca::TemporalTiling& tiling) {
+  PlaneLattice3 planes(lat);
+  plane_gas_run_tiled3(planes, generations, t0, threads, tiling);
+  planes.unpack(lat);
+}
+
+/// Whether the tiled driver tiles: the 2-D predicate over the
+/// {nx, nz} extent of z-slab units.
+bool tiling_feasible3(const lgca::TemporalTiling& tiling, Extent3 e,
+                      Boundary3 b) {
+  return lgca::temporal_tiling_feasible(tiling, {e.nx, e.nz}, to_boundary2(b));
+}
+
 const std::vector<Extent3>& parity_extents() {
   // Non-multiple-of-64 nx (sub-word, straddling, exact), nz = 1
   // degeneracy, ny = 1 degeneracy, and a boxy interior case.
@@ -88,7 +115,7 @@ TEST(PlaneKernel3, SingleStepMatchesReferenceEverywhere) {
       Lattice3 ref = make_volume(e, b, 13);
       Lattice3 bp = ref;
       reference_step(ref, 0);
-      bitplane_gas_run3(bp, 1);
+      run3(bp, 1);
       EXPECT_EQ(bp, ref) << "extent {" << e.nx << "," << e.ny << "," << e.nz
                          << "} boundary " << static_cast<int>(b);
     }
@@ -105,7 +132,7 @@ TEST(PlaneKernel3, MultiGenerationParityAcrossThreads) {
         Lattice3 bp = init;
         // Grain of 1 word forces real multi-band execution on these
         // small volumes when threads > 1.
-        bitplane_gas_run3(bp, 6, 2, threads, 1);
+        run3(bp, 6, 2, threads, 1);
         EXPECT_EQ(bp, ref)
             << "extent {" << e.nx << "," << e.ny << "," << e.nz
             << "} boundary " << static_cast<int>(b) << " threads " << threads;
@@ -123,10 +150,10 @@ TEST(PlaneKernel3, TiledParityAcrossDepthsAndThreads) {
     for (const lgca::TemporalTiling tiling :
          {lgca::TemporalTiling{2, 4}, lgca::TemporalTiling{3, 6},
           lgca::TemporalTiling{4, 8}}) {
-      ASSERT_TRUE(temporal_tiling_feasible3(tiling, e, b));
+      ASSERT_TRUE(tiling_feasible3(tiling, e, b));
       for (const unsigned threads : {1u, 4u}) {
         Lattice3 bp = init;
-        bitplane_gas_run_tiled3(bp, 7, 1, threads, tiling);
+        run_tiled3(bp, 7, 1, threads, tiling);
         EXPECT_EQ(bp, ref) << "boundary " << static_cast<int>(b) << " depth "
                            << tiling.depth << " tile_rows "
                            << tiling.tile_rows << " threads " << threads;
@@ -141,11 +168,11 @@ TEST(PlaneKernel3, InfeasibleTilingFallsBackToPlainSweep) {
        {lgca::TemporalTiling{1, 0}, lgca::TemporalTiling{2, 1},
         lgca::TemporalTiling{2, 4},  // one tile: nz/tile_rows < 2
         lgca::TemporalTiling{3, 3}}) {  // Null: scratch 7 > nz 4
-    EXPECT_FALSE(temporal_tiling_feasible3(tiling, e, Boundary3::Null));
+    EXPECT_FALSE(tiling_feasible3(tiling, e, Boundary3::Null));
     Lattice3 ref = make_volume(e, Boundary3::Null, 23);
     Lattice3 bp = ref;
     reference_run(ref, 4);
-    bitplane_gas_run_tiled3(bp, 4, 0, 2, tiling);
+    run_tiled3(bp, 4, 0, 2, tiling);
     EXPECT_EQ(bp, ref);
   }
 }
@@ -154,13 +181,13 @@ TEST(PlaneKernel3, FlatViewMatchesVolumeRun) {
   const Extent3 e{65, 3, 6};
   const Lattice3 init = make_volume(e, Boundary3::Periodic, 29);
   Lattice3 volume = init;
-  bitplane_gas_run3(volume, 5, 3, 2, 1);
+  run3(volume, 5, 3, 2, 1);
 
   lgca::SiteLattice flat(flat_extent(e), lgca::Boundary::Periodic);
   for (std::size_t i = 0; i < init.site_count(); ++i) {
     flat.grid().data()[i] = init[i];
   }
-  bitplane_gas_run3(flat, e, 5, 3, 2, 1);
+  lgca::bitplane_gas_run(flat, PlaneKernel3(e.ny), 5, 3, 2);
   for (std::size_t i = 0; i < init.site_count(); ++i) {
     ASSERT_EQ(flat.grid().data()[i], volume[i]) << "site " << i;
   }
@@ -171,8 +198,8 @@ TEST(PlaneKernel3, FlatViewMatchesVolumeRun) {
   }
   Lattice3 volume_tiled = init;
   const lgca::TemporalTiling tiling{2, 2};
-  bitplane_gas_run_tiled3(volume_tiled, 5, 3, 2, tiling);
-  bitplane_gas_run_tiled3(flat_tiled, e, 5, 3, 2, tiling);
+  run_tiled3(volume_tiled, 5, 3, 2, tiling);
+  lgca::bitplane_gas_run(flat_tiled, PlaneKernel3(e.ny), 5, 3, 2, tiling);
   for (std::size_t i = 0; i < init.site_count(); ++i) {
     ASSERT_EQ(flat_tiled.grid().data()[i], volume_tiled[i]) << "site " << i;
   }
@@ -192,7 +219,7 @@ TEST(PlaneKernel3, AgreesWithPipeline3) {
   const Lattice3 piped = pipe.run(init);
 
   Lattice3 bp = init;
-  bitplane_gas_run3(bp, 4);
+  run3(bp, 4);
 
   EXPECT_EQ(piped, ref);
   EXPECT_EQ(bp, ref);
@@ -205,19 +232,19 @@ TEST(PlaneKernel3, ConservationSoak) {
   Lattice3 lat(e, Boundary3::Periodic);
   fill_random(lat, 0.3, 37);
   const Invariants3 before = measure_invariants(lat);
-  bitplane_gas_run3(lat, 50, 0, 4, 1);
+  run3(lat, 50, 0, 4, 1);
   EXPECT_EQ(measure_invariants(lat), before);
 
   const lgca::TemporalTiling tiling{3, 4};
-  ASSERT_TRUE(temporal_tiling_feasible3(tiling, e, Boundary3::Periodic));
-  bitplane_gas_run_tiled3(lat, 50, 50, 4, tiling);
+  ASSERT_TRUE(tiling_feasible3(tiling, e, Boundary3::Periodic));
+  run_tiled3(lat, 50, 50, 4, tiling);
   EXPECT_EQ(measure_invariants(lat), before);
 
   // With obstacles, bounce-back reverses momentum at the walls: mass
   // and the obstacle census stay exact, momentum deliberately not.
   Lattice3 walls = make_volume(e, Boundary3::Periodic, 37);
   const Invariants3 wb = measure_invariants(walls);
-  bitplane_gas_run3(walls, 50, 0, 4, 1);
+  run3(walls, 50, 0, 4, 1);
   const Invariants3 wa = measure_invariants(walls);
   EXPECT_EQ(wa.mass, wb.mass);
   EXPECT_EQ(wa.obstacles, wb.obstacles);
@@ -227,7 +254,7 @@ TEST(PlaneKernel3, ZeroGenerationsIsIdentity) {
   const Extent3 e{65, 2, 3};
   const Lattice3 init = make_volume(e, Boundary3::Null, 41);
   Lattice3 lat = init;
-  bitplane_gas_run3(lat, 0);
+  run3(lat, 0);
   EXPECT_EQ(lat, init);
 }
 

@@ -84,8 +84,7 @@ TEST_P(TemporalTileGasTest, TiledBitPlaneMatchesPlainAcrossSeams) {
                                    std::int64_t{3}, std::int64_t{5}}) {
         for (const unsigned threads : {1u, 3u}) {
           SiteLattice got = start;
-          bitplane_gas_run_tiled(got, kernel, 7, 0, threads,
-                                 {k, std::int64_t{8}});
+          bitplane_gas_run(got, kernel, 7, 0, threads, {k, std::int64_t{8}});
           ASSERT_TRUE(got == want)
               << kind_name(GetParam()) << " " << e.width << "x" << e.height
               << " k=" << k << " threads=" << threads
@@ -112,7 +111,7 @@ TEST_P(TemporalTileGasTest, TiledAgreesAtEveryCompiledSimdLevel) {
     if (!simd_supported(level)) continue;
     const ScopedSimdLevel pin(level);
     SiteLattice got = start;
-    bitplane_gas_run_tiled(got, kernel, 6, 0, 2, {3, 9});
+    bitplane_gas_run(got, kernel, 6, 0, 2, {3, 9});
     ASSERT_TRUE(got == want)
         << kind_name(GetParam()) << " level " << to_string(level);
   }
@@ -129,8 +128,8 @@ TEST_P(TemporalTileGasTest, NonzeroTimeOriginAndChunkingAreInvariant) {
   SiteLattice want = start;
   bitplane_gas_run(want, kernel, 9);
   SiteLattice got = start;
-  bitplane_gas_run_tiled(got, kernel, 4, 0, 2, {3, 8});
-  bitplane_gas_run_tiled(got, kernel, 5, 4, 2, {3, 8});
+  bitplane_gas_run(got, kernel, 4, 0, 2, {3, 8});
+  bitplane_gas_run(got, kernel, 5, 4, 2, {3, 8});
   EXPECT_TRUE(got == want) << kind_name(GetParam());
 }
 
