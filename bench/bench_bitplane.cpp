@@ -10,7 +10,9 @@
 // The printed table is also persisted to BENCH_bitplane.json in the
 // working directory; CI runs this binary with LATTICE_BENCH_QUICK=1 on
 // a small lattice and gates on tools/check_bench_regression.py. Any
-// exactness failure makes the process exit nonzero.
+// exactness failure makes the process exit nonzero, and so does the
+// in-run engine residency gate (engine advance() rate at least 0.85 of
+// the bare resident-plane driver's, every mode).
 
 #include "bench_util.hpp"
 
@@ -18,8 +20,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "lattice/core/engine.hpp"
 #include "lattice/core/tile_plan.hpp"
 #include "lattice/lgca/collision_lut.hpp"
 #include "lattice/lgca/gas_rule.hpp"
@@ -340,6 +345,66 @@ bool print_tables(std::vector<Row>& rows) {
   return all_exact;
 }
 
+/// In-run ratio gate: LatticeEngine(BitPlane).advance() against the
+/// bare tiled driver on a resident PlaneLattice — same 2048² HPP
+/// lattice, threads and tiling plan, timed interleaved, best of N each.
+/// The engine keeps its planes resident between calls, so all it may
+/// add is bookkeeping; a per-pass transpose would sink the ratio far
+/// below the floor. Both sides run on this host in this process, so the
+/// gate needs no cross-host baseline. Returns false below the floor.
+bool engine_residency_gate() {
+  constexpr double kFloor = 0.85;
+  constexpr std::int64_t kGens = 60;  // ~10 ms a sample: above timer noise
+  constexpr int kReps = 9;
+  const Extent extent{2048, 2048};
+  const unsigned threads =
+      std::max(1u, std::min(4u, std::thread::hardware_concurrency()));
+
+  core::LatticeEngine::Config cfg;
+  cfg.extent = extent;
+  cfg.gas = lgca::GasKind::HPP;
+  cfg.boundary = lgca::Boundary::Periodic;
+  cfg.backend = core::Backend::BitPlane;
+  cfg.threads = threads;
+  cfg.tile_generations = 0;
+  core::LatticeEngine engine(cfg);
+  lgca::fill_random(engine.state(), engine.gas_model(), 0.3, 7);
+
+  const lgca::PlaneKernel& kernel = lgca::PlaneKernel::get(cfg.gas);
+  const core::TilePlan plan = core::plan_temporal_tiles(
+      extent, cfg.boundary, core::plane_row_bytes(extent), 0);
+  lgca::PlaneLattice lat(std::as_const(engine).state());
+  lgca::PlaneLattice next(extent, cfg.boundary);
+  std::int64_t t = 0;
+  const auto bare = [&] {
+    lgca::plane_gas_run_tiled(lat, next, kernel, kGens, t, threads,
+                              plan.tiling());
+    t += kGens;
+  };
+  const auto eng = [&] { engine.advance(kGens); };
+  eng();  // first advance: loads the planes and captures the initial state
+  bare();
+  double best_engine = time_run(eng);
+  double best_bare = time_run(bare);
+  for (int i = 1; i < kReps; ++i) {
+    best_engine = std::min(best_engine, time_run(eng));
+    best_bare = std::min(best_bare, time_run(bare));
+  }
+  const double ratio = best_bare / best_engine;
+  const bool same = lat.to_sites() == std::as_const(engine).state();
+  const bool pass = ratio >= kFloor && same;
+  const char* verdict = pass ? "" : same ? "  BELOW FLOOR" : "  STATES DIFFER";
+  std::printf(
+      "\n  engine residency gate (HPP 2048x2048, %lld gens, %u threads, "
+      "tile depth %lld):\n"
+      "    engine advance() %.3f ms, bare plane_gas_run_tiled %.3f ms, "
+      "engine/bare rate %.3f (floor %.2f)%s\n",
+      static_cast<long long>(kGens), threads,
+      static_cast<long long>(plan.depth), best_engine * 1e3, best_bare * 1e3,
+      ratio, kFloor, verdict);
+  return pass;
+}
+
 bool write_json(const std::vector<Row>& rows) {
   bench_util::JsonWriter w;
   w.begin_object();
@@ -427,10 +492,11 @@ BENCHMARK(BM_PackUnpack)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   std::vector<Row> rows;
   const bool exact = print_tables(rows);
+  const bool gate = engine_residency_gate();
   const bool wrote = write_json(rows);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
-  return exact && wrote ? 0 : 1;
+  return exact && gate && wrote ? 0 : 1;
 }

@@ -8,6 +8,13 @@
 // only that backend knows (bandwidth, off-chip buffer ledger). The
 // engine itself never branches on the backend.
 //
+// State residency: a byte-native executor (Reference, WSA, SPA, WSA-E)
+// advances the engine's byte lattice in place. A resident executor
+// (the bit-plane backend) owns the state in its native layout between
+// passes; the engine's byte lattice is then a lazily synced view, filled
+// by store_state() only when a caller needs bytes and pushed back by
+// load_state() only after a caller wrote them (docs/ARCHITECTURE.md).
+//
 // Adding a backend is one new translation unit (docs/ARCHITECTURE.md):
 // subclass BackendExec, implement prepare()/run_pass(), and add a case
 // to the factory in backend_exec.cpp.
@@ -49,10 +56,30 @@ class BackendExec {
   /// the engine exactly once, before the first run_pass().
   virtual void prepare(const lgca::SiteLattice& state) = 0;
 
-  /// Advance `state` in place by `chunk` generations, the first of
-  /// which is `generation`. Counters accumulate into stats().
+  /// Advance the state by `chunk` generations, the first of which is
+  /// `generation`: a byte-native executor advances `state` in place; a
+  /// resident one advances its native state and leaves `state` alone.
+  /// Counters accumulate into stats().
   virtual void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                         std::int64_t generation) = 0;
+
+  /// Whether the executor keeps the state in its own layout between
+  /// passes (false by default: byte-native). The engine calls the two
+  /// conversions below only on a resident executor, and only when the
+  /// other side is stale.
+  virtual bool owns_state() const noexcept;
+  /// Replace the native state with `state` (resident executors).
+  virtual void load_state(const lgca::SiteLattice& state);
+  /// Write the native state into `state`, whose extent and boundary
+  /// match the engine's (resident executors).
+  virtual void store_state(lgca::SiteLattice& state) const;
+
+  /// Guarded-loop checkpoint and rollback of the native state into and
+  /// from one checkpoint the executor keeps (resident executors; the
+  /// engine checkpoints a byte-native executor's bytes itself), so
+  /// neither direction converts layouts.
+  virtual void save_snapshot();
+  virtual void load_snapshot();
 
   const ExecStats& stats() const noexcept { return stats_; }
 

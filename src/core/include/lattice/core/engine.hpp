@@ -231,9 +231,8 @@ class LatticeEngine {
   void advance(std::int64_t generations);
 
   /// Snapshot the current state and generation for later restore().
-  EngineCheckpoint checkpoint() const {
-    return {state_, generation_, config_.depth};
-  }
+  /// Syncs the byte view first, like the const state().
+  EngineCheckpoint checkpoint() const;
 
   /// Generation quantum of one executor pass (>= 1): a temporally-tiled
   /// executor commits whole tile blocks, so callers that slice work into
@@ -256,9 +255,19 @@ class LatticeEngine {
                                 : fault::FaultCounters{};
   }
 
-  /// Current lattice state (mutable, e.g. for initialization).
-  lgca::SiteLattice& state() noexcept { return state_; }
-  const lgca::SiteLattice& state() const noexcept { return state_; }
+  /// Current lattice state as bytes. With a resident executor (the
+  /// bit-plane backends, docs/ARCHITECTURE.md) this is a lazily synced
+  /// view of the executor's native state:
+  ///  - the const overload unpacks into the view when it is stale, so
+  ///    it mutates a cache and must not race another accessor of the
+  ///    same engine (const or not);
+  ///  - the mutable overload also marks the bytes authoritative, and
+  ///    the next advance() loads them back into the executor — read
+  ///    through a const engine (std::as_const) to avoid that repack.
+  /// The returned reference is valid until the next advance() or
+  /// restore(); call state() again afterwards.
+  lgca::SiteLattice& state();
+  const lgca::SiteLattice& state() const;
 
   const lgca::Rule& rule() const noexcept { return *rule_; }
   const lgca::GasModel& gas_model() const;
@@ -282,12 +291,24 @@ class LatticeEngine {
  private:
   void run_pass(std::int64_t chunk);
   void advance_guarded(std::int64_t generations);
+  /// Bring the byte view / the executor's native state up to date.
+  void sync_bytes() const;
+  void sync_native();
 
   Config config_;
   std::unique_ptr<lgca::GasRule> owned_rule_;
   const lgca::Rule* rule_;
+  /// The state the first advance() started from; empty until then.
   lgca::SiteLattice initial_;
-  lgca::SiteLattice state_;
+  /// The byte view of the state. Empty while a resident executor holds
+  /// the only current copy and nobody has asked for bytes since the
+  /// first advance() (which hands the bytes to initial_).
+  mutable lgca::SiteLattice state_;
+  /// Which copy lags: the byte view behind the executor's native
+  /// state, or the native state behind bytes a caller wrote. Both stay
+  /// false for byte-native executors.
+  mutable bool bytes_stale_ = false;
+  bool native_stale_ = false;
   std::int64_t generation_ = 0;
   /// The generation initial_ was captured at (the first advance()).
   std::int64_t initial_generation_ = 0;

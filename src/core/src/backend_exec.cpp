@@ -29,6 +29,26 @@ void BackendExec::fill_report(PerformanceReport& report) const {
 
 bool BackendExec::try_degrade() { return false; }
 
+bool BackendExec::owns_state() const noexcept { return false; }
+
+void BackendExec::load_state(const lgca::SiteLattice& state) {
+  (void)state;
+  LATTICE_ASSERT(false, "load_state on a byte-native executor");
+}
+
+void BackendExec::store_state(lgca::SiteLattice& state) const {
+  (void)state;
+  LATTICE_ASSERT(false, "store_state on a byte-native executor");
+}
+
+void BackendExec::save_snapshot() {
+  LATTICE_ASSERT(false, "save_snapshot on a byte-native executor");
+}
+
+void BackendExec::load_snapshot() {
+  LATTICE_ASSERT(false, "load_snapshot on a byte-native executor");
+}
+
 bool BackendExec::supports_fault_plan(
     const fault::FaultPlan& plan) const noexcept {
   return !plan.armed();

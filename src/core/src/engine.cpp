@@ -48,6 +48,7 @@ struct EngineObs {
   obs::MetricsRegistry::Id oracle_passes =
       obs::counter_id("engine.oracle_passes");
   obs::MetricsRegistry::Id capture_ns = obs::histogram_id("engine.capture_ns");
+  obs::MetricsRegistry::Id load_ns = obs::histogram_id("engine.load_ns");
   obs::MetricsRegistry::Id checkpoint_ns =
       obs::histogram_id("engine.checkpoint_ns");
   obs::MetricsRegistry::Id restore_ns = obs::histogram_id("engine.restore_ns");
@@ -78,7 +79,6 @@ std::int64_t pick_spa_slice_width(const arch::Technology& tech,
 
 LatticeEngine::LatticeEngine(Config config)
     : config_(config),
-      initial_(engine_state_extent(config), config.boundary),
       state_(engine_state_extent(config), config.boundary) {
   LATTICE_REQUIRE(config_.pipeline_depth >= 1, "pipeline depth must be >= 1");
   if (config_.custom_rule != nullptr) {
@@ -121,6 +121,7 @@ LatticeEngine::LatticeEngine(Config config)
     interval_ = config_.checkpoint_interval;
   }
   exec_->prepare(state_);
+  native_stale_ = exec_->owns_state();
 }
 
 LatticeEngine::~LatticeEngine() = default;
@@ -133,10 +134,43 @@ const lgca::GasModel& LatticeEngine::gas_model() const {
   return owned_rule_->model();
 }
 
+lgca::SiteLattice& LatticeEngine::state() {
+  sync_bytes();
+  native_stale_ = exec_->owns_state();
+  return state_;
+}
+
+const lgca::SiteLattice& LatticeEngine::state() const {
+  sync_bytes();
+  return state_;
+}
+
+EngineCheckpoint LatticeEngine::checkpoint() const {
+  sync_bytes();
+  return {state_, generation_, config_.depth};
+}
+
+void LatticeEngine::sync_bytes() const {
+  if (!bytes_stale_) return;
+  if (state_.site_count() == 0) {
+    state_ = lgca::SiteLattice(engine_state_extent(config_), config_.boundary);
+  }
+  exec_->store_state(state_);
+  bytes_stale_ = false;
+}
+
+void LatticeEngine::sync_native() {
+  if (!native_stale_) return;
+  const obs::ScopedTimer timer(EngineObs::get().load_ns);
+  exec_->load_state(state_);
+  native_stale_ = false;
+}
+
 void LatticeEngine::run_pass(std::int64_t chunk) {
   const obs::TraceSpan span("engine.pass");
   const obs::ScopedTimer pass_timer(exec_->pass_histogram());
   exec_->run_pass(state_, chunk, generation_);
+  bytes_stale_ = exec_->owns_state();
 }
 
 void LatticeEngine::advance(std::int64_t generations) {
@@ -144,9 +178,20 @@ void LatticeEngine::advance(std::int64_t generations) {
   const obs::TraceSpan span("engine.advance");
   const std::int64_t updates_before = exec_->stats().site_updates;
   const auto start = std::chrono::steady_clock::now();
+  sync_native();
   if (!initial_captured_) {
     const obs::ScopedTimer timer(EngineObs::get().capture_ns);
-    initial_ = state_;
+    if (exec_->owns_state()) {
+      // The executor now holds the state, so the byte view moves into
+      // initial_ instead of being copied: the engine keeps the replay
+      // origin plus the native state — no more than the per-pass
+      // transpose held — and rebuilds the view when bytes are asked for.
+      initial_ = std::move(state_);
+      state_ = lgca::SiteLattice();
+      bytes_stale_ = true;
+    } else {
+      initial_ = state_;
+    }
     initial_generation_ = generation_;
     initial_captured_ = true;
   }
@@ -191,13 +236,27 @@ void LatticeEngine::advance(std::int64_t generations) {
 //   4. give up — throw CorruptionError with the counter snapshot.
 void LatticeEngine::advance_guarded(std::int64_t generations) {
   const std::int64_t target = generation_ + generations;
-  EngineCheckpoint ckpt{state_, generation_};
+  // The checkpoint lives with whoever owns the state: a resident
+  // executor keeps plane words, the engine keeps a byte-native
+  // executor's bytes. Neither a snapshot nor a rollback converts.
+  const bool resident = exec_->owns_state();
+  lgca::SiteLattice ckpt;
+  const auto save = [&] {
+    if (resident) {
+      exec_->save_snapshot();
+    } else {
+      ckpt = state_;
+    }
+  };
+  save();
+  std::int64_t ckpt_generation = generation_;
   const auto snapshot = [&] {
+    sync_native();  // as above
     const obs::TraceSpan span("engine.checkpoint");
     const obs::ScopedTimer timer(EngineObs::get().checkpoint_ns);
     const auto t0 = std::chrono::steady_clock::now();
-    ckpt.state = state_;
-    ckpt.generation = generation_;
+    save();
+    ckpt_generation = generation_;
     checkpoint_seconds_ += std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
@@ -214,6 +273,7 @@ void LatticeEngine::advance_guarded(std::int64_t generations) {
       std::max<std::int64_t>(std::int64_t{1}, exec_->chunk_quantum());
   int attempts = 0;
   while (generation_ < target) {
+    sync_native();  // after an oracle pass, which ran on the bytes
     std::int64_t chunk = std::min<std::int64_t>(
         std::min<std::int64_t>(target - generation_, config_.pipeline_depth),
         interval_);
@@ -230,7 +290,7 @@ void LatticeEngine::advance_guarded(std::int64_t generations) {
       if (interval_ < config_.checkpoint_interval) {
         interval_ = std::min(config_.checkpoint_interval, interval_ * 2);
       }
-      if (generation_ - ckpt.generation >= interval_ &&
+      if (generation_ - ckpt_generation >= interval_ &&
           generation_ < target) {
         snapshot();
       }
@@ -242,8 +302,13 @@ void LatticeEngine::advance_guarded(std::int64_t generations) {
     {
       const obs::TraceSpan rb_span("engine.rollback");
       const obs::ScopedTimer timer(EngineObs::get().restore_ns);
-      state_ = ckpt.state;
-      generation_ = ckpt.generation;
+      if (resident) {
+        exec_->load_snapshot();
+        bytes_stale_ = true;
+      } else {
+        state_ = ckpt;
+      }
+      generation_ = ckpt_generation;
     }
     obs::count(EngineObs::get().rollbacks, 1);
     obs::count(EngineObs::get().replays, 1);
@@ -263,7 +328,9 @@ void LatticeEngine::advance_guarded(std::int64_t generations) {
       if (exec_->try_degrade()) continue;
       if (config_.oracle_fallback) {
         const obs::TraceSpan oracle_span("engine.oracle");
+        sync_bytes();
         detail::golden_run(config_, *rule_, state_, chunk, generation_);
+        native_stale_ = exec_->owns_state();
         generation_ += chunk;
         ++oracle_passes_;
         obs::count(EngineObs::get().oracle_passes, 1);
@@ -285,9 +352,9 @@ std::int64_t LatticeEngine::chunk_quantum() const noexcept {
 }
 
 void LatticeEngine::restore(const EngineCheckpoint& ckpt) {
-  LATTICE_REQUIRE(ckpt.state.extent() == state_.extent(),
+  LATTICE_REQUIRE(ckpt.state.extent() == engine_state_extent(config_),
                   "checkpoint extent does not match the engine");
-  LATTICE_REQUIRE(ckpt.state.boundary() == state_.boundary(),
+  LATTICE_REQUIRE(ckpt.state.boundary() == config_.boundary,
                   "checkpoint boundary mode does not match the engine");
   LATTICE_REQUIRE(ckpt.depth == config_.depth,
                   "checkpoint depth does not match the engine: the same "
@@ -296,6 +363,8 @@ void LatticeEngine::restore(const EngineCheckpoint& ckpt) {
   const obs::ScopedTimer timer(EngineObs::get().restore_ns);
   state_ = ckpt.state;
   generation_ = ckpt.generation;
+  bytes_stale_ = false;
+  native_stale_ = exec_->owns_state();
 }
 
 PerformanceReport LatticeEngine::report() const {
@@ -333,7 +402,7 @@ PerformanceReport LatticeEngine::report() const {
   // Robustness accounting. committed_updates counts only generations
   // that survived the detectors; on a fault-free run it equals
   // site_updates and the effective rates collapse onto the plain ones.
-  r.committed_updates = generation_ * state_.extent().area();
+  r.committed_updates = generation_ * engine_state_extent(config_).area();
   r.effective_rate = es.ticks > 0
                          ? static_cast<double>(r.committed_updates) /
                                static_cast<double>(es.ticks) *
@@ -367,7 +436,7 @@ bool LatticeEngine::verify_against_reference() const {
   lgca::SiteLattice replay = initial_;
   detail::golden_run(config_, *rule_, replay, generation_ - initial_generation_,
                      initial_generation_);
-  return replay == state_;
+  return replay == state();
 }
 
 }  // namespace lattice::core

@@ -5,16 +5,24 @@
 // gas's PlaneKernel under the row-unit cache plan, Backend::BitPlane3
 // the cubic gas's PlaneKernel3 (row unit = one z-slab of the flat
 // {nx, ny·nz} state) under the d = 3 plan, both through the same
-// lgca::bitplane_gas_run driver.
+// lgca::plane_gas_run_tiled driver.
+//
+// The executor is resident (BackendExec::owns_state): its PlaneLattice
+// double buffer holds the state across passes, allocated on the first
+// load_state(). The byte <-> plane transposes run only when the engine
+// syncs its byte view — bitplane.pack_ns on load_state(),
+// bitplane.unpack_ns on store_state() — and a pass is the plane run
+// alone (bitplane.update_ns). Guarded checkpoints copy plane words.
 //
 // max_chunk() takes everything in one pass: pipeline_depth is a
-// hardware parameter with no meaning for this backend, and chunking by
-// it would re-pay the pack/unpack transpose per chunk. One pass per
+// hardware parameter with no meaning for this backend. One pass per
 // advance() also gives snapshot() a single engine.pass.bitplane[3]_ns
-// sample per call, with the bitplane.pack/update/unpack stages nested
-// underneath it.
+// sample per call.
 
+#include <algorithm>
+#include <bit>
 #include <optional>
+#include <vector>
 
 #include "exec_factories.hpp"
 #include "lattice/core/tile_plan.hpp"
@@ -22,6 +30,7 @@
 #include "lattice/lgca/plane_simd.hpp"
 #include "lattice/lgca3d/plane_kernel3.hpp"
 #include "lattice/obs/metrics.hpp"
+#include "lattice/obs/trace.hpp"
 #include "volume3.hpp"
 
 namespace lattice::core::detail {
@@ -78,9 +87,59 @@ class BitPlaneExec final : public BackendExec {
 
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                 std::int64_t generation) override {
-    lgca::bitplane_gas_run(state, *kernel_, chunk, generation, threads_,
-                           plan_.tiling(), guard_ ? &*guard_ : nullptr);
-    stats_.site_updates += state.extent().area() * chunk;
+    (void)state;
+    const obs::ScopedTimer timer(Obs::get().update);
+    const obs::TraceSpan span("bitplane.update");
+    lgca::plane_gas_run_tiled(lat_, next_, *kernel_, chunk, generation,
+                              threads_, plan_.tiling(),
+                              guard_ ? &*guard_ : nullptr);
+    stats_.site_updates += lat_.extent().area() * chunk;
+  }
+
+  bool owns_state() const noexcept override { return true; }
+
+  void load_state(const lgca::SiteLattice& state) override {
+    const obs::ScopedTimer timer(Obs::get().pack);
+    const obs::TraceSpan span("bitplane.pack");
+    if (lat_.extent() != state.extent()) {
+      lat_ = lgca::PlaneLattice(state.extent(), state.boundary());
+      next_ = lgca::PlaneLattice(state.extent(), state.boundary());
+    }
+    lat_.pack(state, threads_);
+  }
+
+  void store_state(lgca::SiteLattice& state) const override {
+    const obs::ScopedTimer timer(Obs::get().unpack);
+    const obs::TraceSpan span("bitplane.unpack");
+    lat_.unpack(state, threads_);
+  }
+
+  // A snapshot keeps the payload words of the planes a pass can change:
+  // the written planes, plus the obstacle plane, which only a fault
+  // alters. Rollback re-zeroes the static-zero planes, as the next
+  // pass's priming would.
+  void save_snapshot() override {
+    const std::uint32_t kept = kept_planes();
+    const std::int64_t words = lat_.words_per_row();
+    checkpoint_.resize(static_cast<std::size_t>(
+        std::popcount(kept) * lat_.extent().height * words));
+    std::uint64_t* out = checkpoint_.data();
+    for_plane_rows(kept, [&](int p, std::int64_t y) {
+      out = std::copy_n(lat_.row(p, y), words, out);
+    });
+  }
+
+  void load_snapshot() override {
+    const std::uint32_t kept = kept_planes();
+    const std::int64_t words = lat_.words_per_row();
+    const std::uint64_t* in = checkpoint_.data();
+    for_plane_rows(kept, [&](int p, std::int64_t y) {
+      std::copy_n(in, words, lat_.row(p, y));
+      in += words;
+    });
+    for_plane_rows(~kept & 0xffu, [&](int p, std::int64_t y) {
+      std::fill_n(lat_.row(p, y), words, std::uint64_t{0});
+    });
   }
 
   bool supports_fault_plan(
@@ -100,12 +159,42 @@ class BitPlaneExec final : public BackendExec {
   }
 
  private:
+  std::uint32_t kept_planes() const noexcept {
+    return kernel_->written_planes() | lgca::kObstacleBit;
+  }
+
+  template <typename Fn>
+  void for_plane_rows(std::uint32_t planes, const Fn& fn) const {
+    for (int p = 0; p < lgca::PlaneLattice::kPlanes; ++p) {
+      if (((planes >> p) & 1u) == 0) continue;
+      for (std::int64_t y = 0; y < lat_.extent().height; ++y) fn(p, y);
+    }
+  }
+
+  /// The bitplane.* stage histograms this executor's work lands in.
+  struct Obs {
+    obs::MetricsRegistry::Id pack = obs::histogram_id("bitplane.pack_ns");
+    obs::MetricsRegistry::Id update = obs::histogram_id("bitplane.update_ns");
+    obs::MetricsRegistry::Id unpack = obs::histogram_id("bitplane.unpack_ns");
+    static const Obs& get() {
+      static const Obs ids;
+      return ids;
+    }
+  };
+
   std::optional<lgca3d::PlaneKernel3> kernel3_;
   const lgca::PlaneUnitKernel* kernel_ = nullptr;
   unsigned threads_;
   fault::FaultInjector* injector_;
   TilePlan plan_;
   std::optional<fault::PlaneMemoryGuard> guard_;
+  /// The resident state (lat_) and its double buffer; empty until the
+  /// first load_state().
+  lgca::PlaneLattice lat_;
+  lgca::PlaneLattice next_;
+  /// The guarded checkpoint: payload words of kept_planes(), plane by
+  /// plane, row by row.
+  std::vector<std::uint64_t> checkpoint_;
 };
 
 }  // namespace

@@ -10,11 +10,13 @@ namespace {
 // The disjoint top-level stage histograms. Everything else in the
 // registry (wsa.run_ns, pool.task_ns, reference.band_ns, ...) nests
 // inside one of these and would double-count if listed here.
-constexpr std::array<std::string_view, 8> kPhaseHistograms = {
+constexpr std::array<std::string_view, 11> kPhaseHistograms = {
     "engine.pass.reference_ns", "engine.pass.wsa_ns",
     "engine.pass.spa_ns",       "engine.pass.bitplane_ns",
-    "engine.pass.wsa_e_ns",     "engine.capture_ns",
-    "engine.checkpoint_ns",     "engine.restore_ns",
+    "engine.pass.wsa_e_ns",     "engine.pass.reference3_ns",
+    "engine.pass.bitplane3_ns", "engine.capture_ns",
+    "engine.load_ns",           "engine.checkpoint_ns",
+    "engine.restore_ns",
 };
 
 }  // namespace

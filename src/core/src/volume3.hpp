@@ -19,8 +19,9 @@ lgca3d::Extent3 extent3_of(const LatticeEngine::Config& config);
 
 /// Advance `state` by `generations` steps from t0 on the golden
 /// updater for `config`: lgca::reference_run of `rule` in 2-D; in 3-D
-/// the cubic gas's gather-and-collide updater over the flat view (copy
-/// into a Lattice3, run, copy back — exact, the rasters coincide).
+/// the cubic gas's gather-and-collide updater stepping the flat view
+/// itself (lgca3d::reference_step over raw storage — exact, the rasters
+/// coincide).
 void golden_run(const LatticeEngine::Config& config, const lgca::Rule& rule,
                 lgca::SiteLattice& state, std::int64_t generations,
                 std::int64_t t0);

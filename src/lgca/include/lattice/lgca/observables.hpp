@@ -5,6 +5,8 @@
 
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,7 +25,16 @@ struct Invariants {
   friend bool operator==(const Invariants&, const Invariants&) = default;
 };
 
+/// Computed from a 256-bin site-state histogram dotted with the
+/// model's per-state mass, momentum and obstacle flag: exactly the
+/// per-site sums, at one table increment per site.
 Invariants measure_invariants(const SiteLattice& lat, const GasModel& model);
+
+/// How many of the `n` sites hold each of the 256 site states. Every
+/// per-site sum of a function of the state is this histogram's dot
+/// product with the function's table (measure_invariants, and the 3-D
+/// gas's lgca3d::measure_invariants).
+std::array<std::int64_t, 256> site_histogram(const Site* sites, std::size_t n);
 
 /// Coarse-grained density/velocity over non-overlapping cells.
 struct FlowCell {

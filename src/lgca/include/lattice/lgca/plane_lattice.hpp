@@ -47,6 +47,9 @@ class PlaneLattice {
   /// Guard words before each row's payload; also the stride quantum,
   /// so payload word 0 of every row is 64-byte aligned.
   static constexpr std::int64_t kRowPad = 8;
+  /// Smallest band of the pack/unpack transpose: below about 2^18
+  /// sites a pool dispatch costs more than the transpose it would split.
+  static constexpr std::int64_t kTransposeGrainSites = std::int64_t{1} << 18;
 
   PlaneLattice() = default;
   PlaneLattice(Extent extent, Boundary boundary);
@@ -64,10 +67,15 @@ class PlaneLattice {
   std::uint64_t tail_mask() const noexcept { return tail_mask_; }
 
   /// Overwrite this lattice's bits from a byte lattice of the same
-  /// extent and boundary (resets guard words).
-  void pack(const SiteLattice& sites);
-  /// Write this lattice's bits into a byte lattice of the same extent.
-  void unpack(SiteLattice& sites) const;
+  /// extent and boundary (resets guard words; tail bits come out zero).
+  /// The transpose runs 64 sites at a time as 8×8 bit-matrix blocks,
+  /// with rows split into bands over up to `threads` shared-pool lanes,
+  /// none smaller than kTransposeGrainSites, so small lattices stay on
+  /// the calling thread.
+  void pack(const SiteLattice& sites, unsigned threads = 1);
+  /// Write this lattice's bits into a byte lattice of the same extent
+  /// (same block transpose and banding as pack).
+  void unpack(SiteLattice& sites, unsigned threads = 1) const;
   SiteLattice to_sites() const;
 
   /// Pointer to payload word 0 of `plane` on row `y`; the guard words

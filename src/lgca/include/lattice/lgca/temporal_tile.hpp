@@ -95,6 +95,18 @@ void plane_gas_run_tiled(PlaneLattice& lat, const PlaneUnitKernel& kernel,
                          unsigned threads, const TemporalTiling& tiling,
                          PlaneRunHooks* hooks = nullptr);
 
+/// plane_gas_run_tiled over a caller-owned double buffer: `next` has
+/// lat's extent and boundary, and its contents are scratch. On return
+/// `lat` holds the result (the two may have exchanged storage). A
+/// caller that keeps its state resident in planes (the engine's
+/// bit-plane executor) passes the same pair to every run instead of
+/// allocating a buffer per call.
+void plane_gas_run_tiled(PlaneLattice& lat, PlaneLattice& next,
+                         const PlaneUnitKernel& kernel,
+                         std::int64_t generations, std::int64_t t0,
+                         unsigned threads, const TemporalTiling& tiling,
+                         PlaneRunHooks* hooks = nullptr);
+
 /// Byte-lattice convenience wrapper for every plane kernel: pack once,
 /// run plane_gas_run_tiled (the plain sweep under the default, untiled
 /// `tiling`), unpack once. A 3-D kernel takes the flat {nx, ny·nz} byte

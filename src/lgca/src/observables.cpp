@@ -16,18 +16,39 @@ void physical_pos(Topology t, Coord c, double& x, double& y) {
 
 }  // namespace
 
+std::array<std::int64_t, 256> site_histogram(const Site* sites,
+                                              std::size_t n) {
+  // Four interleaved tables, so runs of equal states (a uniform region,
+  // a wall of obstacles) do not serialize on one counter's
+  // store-to-load chain.
+  std::array<std::array<std::int64_t, 256>, 4> part{};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    ++part[0][sites[i]];
+    ++part[1][sites[i + 1]];
+    ++part[2][sites[i + 2]];
+    ++part[3][sites[i + 3]];
+  }
+  for (; i < n; ++i) ++part[0][sites[i]];
+  std::array<std::int64_t, 256> hist{};
+  for (const auto& t : part) {
+    for (int s = 0; s < 256; ++s) hist[s] += t[s];
+  }
+  return hist;
+}
+
 Invariants measure_invariants(const SiteLattice& lat, const GasModel& model) {
+  const auto hist = site_histogram(lat.grid().data(), lat.site_count());
   Invariants inv;
-  const Extent e = lat.extent();
-  for (std::int64_t y = 0; y < e.height; ++y) {
-    for (std::int64_t x = 0; x < e.width; ++x) {
-      const Site s = lat.at({x, y});
-      inv.mass += model.mass(s);
-      const Momentum m = model.momentum(s);
-      inv.px += m.px;
-      inv.py += m.py;
-      if (is_obstacle(s)) ++inv.obstacles;
-    }
+  for (int v = 0; v < 256; ++v) {
+    const std::int64_t n = hist[static_cast<std::size_t>(v)];
+    if (n == 0) continue;
+    const auto s = static_cast<Site>(v);
+    const Momentum m = model.momentum(s);
+    inv.mass += n * model.mass(s);
+    inv.px += n * m.px;
+    inv.py += n * m.py;
+    if (is_obstacle(s)) inv.obstacles += n;
   }
   return inv;
 }

@@ -1,6 +1,9 @@
 #include "lattice/lgca/plane_lattice.hpp"
 
 #include <algorithm>
+#include <cstring>
+
+#include "lattice/common/thread_pool.hpp"
 
 namespace lattice::lgca {
 
@@ -28,57 +31,140 @@ PlaneLattice::PlaneLattice(const SiteLattice& sites)
   pack(sites);
 }
 
-void PlaneLattice::pack(const SiteLattice& sites) {
+namespace {
+
+/// 8×8 bit-matrix transpose of the bytes of `x`: bit c of byte r moves
+/// to bit r of byte c. Three delta swaps exchange the off-diagonal
+/// 1×1, 2×2 and 4×4 sub-blocks.
+inline std::uint64_t transpose_bits8(std::uint64_t x) noexcept {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
+/// 8×8 byte-matrix transpose across eight words: byte r of w[m] moves
+/// to byte m of w[r]. Same recursion one level up, in 8-, 16- and
+/// 32-bit units.
+inline void transpose_bytes8(std::uint64_t w[8]) noexcept {
+  constexpr std::uint64_t kLo[3] = {0x00FF00FF00FF00FFULL,
+                                    0x0000FFFF0000FFFFULL,
+                                    0x00000000FFFFFFFFULL};
+  for (int s = 0; s < 3; ++s) {
+    const int d = 1 << s;     // word distance
+    const int bits = 8 << s;  // unit width
+    for (int i = 0; i < 8; ++i) {
+      if ((i & d) != 0) continue;
+      const std::uint64_t a = w[i];
+      const std::uint64_t b = w[i + d];
+      w[i] = (a & kLo[s]) | ((b << bits) & ~kLo[s]);
+      w[i + d] = ((a >> bits) & kLo[s]) | (b & ~kLo[s]);
+    }
+  }
+}
+
+/// 64 sites -> one word per plane: transpose each 8-site block's bit
+/// matrix, then gather the blocks' plane bytes into plane words.
+inline void pack_word(const std::uint8_t* sites, std::uint64_t w[8]) noexcept {
+  std::memcpy(w, sites, 64);
+  for (int m = 0; m < 8; ++m) w[m] = transpose_bits8(w[m]);
+  transpose_bytes8(w);
+}
+
+/// The inverse of pack_word (both transposes are involutions).
+inline void unpack_word(std::uint64_t w[8], std::uint8_t* sites) noexcept {
+  transpose_bytes8(w);
+  for (int m = 0; m < 8; ++m) w[m] = transpose_bits8(w[m]);
+  std::memcpy(sites, w, 64);
+}
+
+/// One row's transpose: `width` byte sites against payload words
+/// [0, ceil(width / 64)) of the 8 plane rows. Pack leaves the tail bits
+/// of the last word zero; unpack writes exactly `width` bytes and
+/// ignores the tail bits.
+void pack_row(const std::uint8_t* sites, std::int64_t width,
+              std::uint64_t* const planes[8]) noexcept {
+  const std::int64_t words = (width + 63) / 64;
+  for (std::int64_t k = 0; k < words; ++k) {
+    const std::int64_t n = std::min<std::int64_t>(64, width - 64 * k);
+    std::uint64_t w[8];
+    if (n == 64) {
+      pack_word(sites + 64 * k, w);
+    } else {
+      std::uint8_t tail[64] = {};
+      std::memcpy(tail, sites + 64 * k, static_cast<std::size_t>(n));
+      pack_word(tail, w);
+    }
+    for (int p = 0; p < 8; ++p) planes[p][k] = w[p];
+  }
+}
+
+void unpack_row(const std::uint64_t* const planes[8],
+                std::int64_t width, std::uint8_t* sites) noexcept {
+  const std::int64_t words = (width + 63) / 64;
+  for (std::int64_t k = 0; k < words; ++k) {
+    const std::int64_t n = std::min<std::int64_t>(64, width - 64 * k);
+    std::uint64_t w[8];
+    for (int p = 0; p < 8; ++p) w[p] = planes[p][k];
+    if (n == 64) {
+      unpack_word(w, sites + 64 * k);
+    } else {
+      std::uint8_t tail[64];
+      unpack_word(w, tail);
+      std::memcpy(sites + 64 * k, tail, static_cast<std::size_t>(n));
+    }
+  }
+}
+
+/// Call row_fn(y) for each of `rows` rows of `width` sites, the rows
+/// split into at most `threads` contiguous bands on the shared pool,
+/// each band at least kTransposeGrainSites large.
+template <typename RowFn>
+void for_each_row(std::int64_t rows, std::int64_t width, unsigned threads,
+                  const RowFn& row_fn) {
+  const std::int64_t bands = std::max(threads, 1u);
+  const std::int64_t band_rows = std::max<std::int64_t>(
+      {1,
+       (PlaneLattice::kTransposeGrainSites + width - 1) /
+           std::max<std::int64_t>(1, width),
+       (rows + bands - 1) / bands});
+  common::ThreadPool::shared().parallel_for(
+      rows, band_rows, [&](std::int64_t y0, std::int64_t y1) {
+        for (std::int64_t y = y0; y < y1; ++y) row_fn(y);
+      });
+}
+
+}  // namespace
+
+void PlaneLattice::pack(const SiteLattice& sites, unsigned threads) {
   LATTICE_REQUIRE(sites.extent() == extent_,
                   "pack: byte lattice extent does not match");
   LATTICE_REQUIRE(sites.boundary() == boundary_,
                   "pack: byte lattice boundary mode does not match");
-  const std::int64_t w = extent_.width;
-  for (std::int64_t y = 0; y < extent_.height; ++y) {
-    const Site* src = sites.grid().data() + linear_index(extent_, {0, y});
+  const Site* src = sites.grid().data();
+  for_each_row(extent_.height, extent_.width, threads, [&](std::int64_t y) {
     std::uint64_t* rows[kPlanes];
     for (int p = 0; p < kPlanes; ++p) {
       rows[p] = row(p, y);
       rows[p][-1] = 0;
       rows[p][words_] = 0;
     }
-    for (std::int64_t k = 0; k < words_; ++k) {
-      const int n = static_cast<int>(std::min<std::int64_t>(
-          kWordBits, w - k * kWordBits));
-      std::uint64_t acc[kPlanes] = {};
-      for (int j = 0; j < n; ++j) {
-        const std::uint64_t s = src[k * kWordBits + j];
-        for (int p = 0; p < kPlanes; ++p) {
-          acc[p] |= ((s >> p) & 1u) << j;
-        }
-      }
-      for (int p = 0; p < kPlanes; ++p) rows[p][k] = acc[p];
-    }
-  }
+    pack_row(src + y * extent_.width, extent_.width, rows);
+  });
 }
 
-void PlaneLattice::unpack(SiteLattice& sites) const {
+void PlaneLattice::unpack(SiteLattice& sites, unsigned threads) const {
   LATTICE_REQUIRE(sites.extent() == extent_,
                   "unpack: byte lattice extent does not match");
-  const std::int64_t w = extent_.width;
-  for (std::int64_t y = 0; y < extent_.height; ++y) {
-    Site* dst = sites.grid().data() + linear_index(extent_, {0, y});
+  Site* dst = sites.grid().data();
+  for_each_row(extent_.height, extent_.width, threads, [&](std::int64_t y) {
     const std::uint64_t* rows[kPlanes];
     for (int p = 0; p < kPlanes; ++p) rows[p] = row(p, y);
-    for (std::int64_t k = 0; k < words_; ++k) {
-      const int n = static_cast<int>(std::min<std::int64_t>(
-          kWordBits, w - k * kWordBits));
-      std::uint64_t word[kPlanes];
-      for (int p = 0; p < kPlanes; ++p) word[p] = rows[p][k];
-      for (int j = 0; j < n; ++j) {
-        std::uint64_t s = 0;
-        for (int p = 0; p < kPlanes; ++p) {
-          s |= ((word[p] >> j) & 1u) << p;
-        }
-        dst[k * kWordBits + j] = static_cast<Site>(s);
-      }
-    }
-  }
+    unpack_row(rows, extent_.width, dst + y * extent_.width);
+  });
 }
 
 SiteLattice PlaneLattice::to_sites() const {

@@ -220,19 +220,26 @@ void count_run(const PlaneLattice& lat, std::int64_t generations) {
                             PlaneLattice::kPlanes);
 }
 
-}  // namespace
-
-void plane_gas_run(PlaneLattice& lat, const PlaneUnitKernel& kernel,
-                   std::int64_t generations, std::int64_t t0,
-                   unsigned threads, std::int64_t band_grain_words,
-                   PlaneRunHooks* hooks) {
+/// Shape checks shared by every driver entry; false when there is
+/// nothing to run.
+bool check_run(const PlaneLattice& lat, const PlaneUnitKernel& kernel,
+               std::int64_t generations, unsigned threads) {
   LATTICE_REQUIRE(threads >= 1, "need at least one worker thread");
   LATTICE_REQUIRE(generations >= 0, "generations must be >= 0");
   const Extent e = lat.extent();
-  if (e.area() == 0 || generations == 0) return;
   const std::int64_t unit = kernel.unit_rows();
   LATTICE_ASSERT(unit >= 1 && e.height % unit == 0,
                  "plane_gas_run: height is not a whole number of units");
+  return e.area() != 0 && generations != 0;
+}
+
+/// The banded sweep over a caller-owned double buffer.
+void banded_run(PlaneLattice& lat, PlaneLattice& next,
+                const PlaneUnitKernel& kernel, std::int64_t generations,
+                std::int64_t t0, unsigned threads,
+                std::int64_t band_grain_words, PlaneRunHooks* hooks) {
+  const Extent e = lat.extent();
+  const std::int64_t unit = kernel.unit_rows();
   const std::int64_t units = e.height / unit;
   const std::int64_t grain =
       band_grain_words > 0 ? band_grain_words : kDefaultBandGrainWords;
@@ -242,7 +249,6 @@ void plane_gas_run(PlaneLattice& lat, const PlaneUnitKernel& kernel,
   const BitplaneObs& ids = BitplaneObs::get();
   obs::gauge_set(ids.bands, bands);
 
-  PlaneLattice next(e, lat.boundary());
   // One-time run setup: static planes primed in both buffers (the
   // spans only store the dynamic planes), then one halo fill of the
   // generation-0 source for just the shifted planes. Every later
@@ -304,6 +310,18 @@ void plane_gas_run(PlaneLattice& lat, const PlaneUnitKernel& kernel,
   count_run(lat, generations);
 }
 
+}  // namespace
+
+void plane_gas_run(PlaneLattice& lat, const PlaneUnitKernel& kernel,
+                   std::int64_t generations, std::int64_t t0,
+                   unsigned threads, std::int64_t band_grain_words,
+                   PlaneRunHooks* hooks) {
+  if (!check_run(lat, kernel, generations, threads)) return;
+  PlaneLattice next(lat.extent(), lat.boundary());
+  banded_run(lat, next, kernel, generations, t0, threads, band_grain_words,
+             hooks);
+}
+
 bool temporal_tiling_feasible(const TemporalTiling& tiling, Extent extent,
                               Boundary boundary) {
   const std::int64_t k = tiling.depth;
@@ -321,15 +339,27 @@ void plane_gas_run_tiled(PlaneLattice& lat, const PlaneUnitKernel& kernel,
                          std::int64_t generations, std::int64_t t0,
                          unsigned threads, const TemporalTiling& tiling,
                          PlaneRunHooks* hooks) {
-  LATTICE_REQUIRE(threads >= 1, "need at least one worker thread");
-  LATTICE_REQUIRE(generations >= 0, "generations must be >= 0");
+  if (!check_run(lat, kernel, generations, threads)) return;
+  PlaneLattice next(lat.extent(), lat.boundary());
+  plane_gas_run_tiled(lat, next, kernel, generations, t0, threads, tiling,
+                      hooks);
+}
+
+void plane_gas_run_tiled(PlaneLattice& lat, PlaneLattice& next,
+                         const PlaneUnitKernel& kernel,
+                         std::int64_t generations, std::int64_t t0,
+                         unsigned threads, const TemporalTiling& tiling,
+                         PlaneRunHooks* hooks) {
+  if (!check_run(lat, kernel, generations, threads)) return;
+  LATTICE_REQUIRE(next.extent() == lat.extent() &&
+                      next.boundary() == lat.boundary(),
+                  "plane_gas_run_tiled: the double buffer's shape differs");
   const Extent e = lat.extent();
-  if (e.area() == 0 || generations == 0) return;
   const std::int64_t unit = kernel.unit_rows();
   const std::int64_t units = e.height / unit;
   if (generations < 2 ||
       !temporal_tiling_feasible(tiling, {e.width, units}, lat.boundary())) {
-    plane_gas_run(lat, kernel, generations, t0, threads, 0, hooks);
+    banded_run(lat, next, kernel, generations, t0, threads, 0, hooks);
     return;
   }
   const std::int64_t k = tiling.depth;
@@ -340,7 +370,6 @@ void plane_gas_run_tiled(PlaneLattice& lat, const PlaneUnitKernel& kernel,
   obs::gauge_set(ids.depth, k);
   obs::gauge_set(ids.tiles, geo.tiles);
 
-  PlaneLattice next(e, lat.boundary());
   kernel.prime_static_planes(lat, next);
   lat.prepare_shift_halo(kernel.halo_planes(), 0, e.height);
   if (hooks != nullptr) {
@@ -413,7 +442,8 @@ void bitplane_gas_run(SiteLattice& lat, const PlaneUnitKernel& kernel,
   {
     const obs::ScopedTimer pack_timer(ids.pack);
     const obs::TraceSpan pack_span("bitplane.pack");
-    planes = PlaneLattice(lat);
+    planes = PlaneLattice(lat.extent(), lat.boundary());
+    planes.pack(lat, threads);
   }
 
   {
@@ -425,7 +455,7 @@ void bitplane_gas_run(SiteLattice& lat, const PlaneUnitKernel& kernel,
 
   const obs::ScopedTimer unpack_timer(ids.unpack);
   const obs::TraceSpan unpack_span("bitplane.unpack");
-  planes.unpack(lat);
+  planes.unpack(lat, threads);
 }
 
 void fused_gas_run_tiled(SiteLattice& lat, const CollisionLut& lut,

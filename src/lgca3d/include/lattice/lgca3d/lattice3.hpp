@@ -90,6 +90,12 @@ Invariants3 measure_invariants(const Lattice3& lat);
 
 /// One full gather-and-collide generation (golden reference).
 void reference_step(Lattice3& lat, std::int64_t t);
+/// The same generation over raw raster storage, from `in` into a
+/// distinct `out` of the same extent — for callers that hold the volume
+/// in another container (the engine's flat byte view) and should not
+/// copy it into a Lattice3 first.
+void reference_step(const Site* in, Site* out, Extent3 extent,
+                    Boundary3 boundary, std::int64_t t);
 void reference_run(Lattice3& lat, std::int64_t generations,
                    std::int64_t t0 = 0);
 

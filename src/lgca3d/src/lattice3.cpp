@@ -1,6 +1,9 @@
 #include "lattice/lgca3d/lattice3.hpp"
 
+#include <utility>
+
 #include "lattice/common/rng.hpp"
+#include "lattice/lgca/observables.hpp"
 
 namespace lattice::lgca3d {
 
@@ -38,42 +41,54 @@ Site Lattice3::get(Vec3 c) const noexcept {
 
 Invariants3 measure_invariants(const Lattice3& lat) {
   const Gas3Model& m = Gas3Model::get();
+  const auto hist = lgca::site_histogram(lat.data(), lat.site_count());
   Invariants3 inv;
-  const Extent3 e = lat.extent();
-  for (std::int64_t z = 0; z < e.nz; ++z) {
-    for (std::int64_t y = 0; y < e.ny; ++y) {
-      for (std::int64_t x = 0; x < e.nx; ++x) {
-        const Site s = lat.at({x, y, z});
-        inv.mass += m.mass(s);
-        inv.momentum = inv.momentum + m.momentum(s);
-        if (is_obstacle(s)) ++inv.obstacles;
-      }
-    }
+  for (int v = 0; v < 256; ++v) {
+    const std::int64_t n = hist[static_cast<std::size_t>(v)];
+    if (n == 0) continue;
+    const auto s = static_cast<Site>(v);
+    const Vec3 p = m.momentum(s);
+    inv.mass += n * m.mass(s);
+    inv.momentum = inv.momentum + Vec3{n * p.x, n * p.y, n * p.z};
+    if (is_obstacle(s)) inv.obstacles += n;
   }
   return inv;
 }
 
 void reference_step(Lattice3& lat, std::int64_t t) {
+  Lattice3 out(lat.extent(), lat.boundary());
+  reference_step(lat.data(), out.data(), lat.extent(), lat.boundary(), t);
+  lat = std::move(out);
+}
+
+void reference_step(const Site* in, Site* out, Extent3 e, Boundary3 boundary,
+                    std::int64_t t) {
   const Gas3Model& m = Gas3Model::get();
-  const Extent3 e = lat.extent();
-  Lattice3 out(e, lat.boundary());
+  const auto index = [&](Vec3 c) {
+    return static_cast<std::size_t>((c.z * e.ny + c.y) * e.nx + c.x);
+  };
+  // Boundary-resolved read, as Lattice3::get.
+  const auto get = [&](Vec3 c) -> Site {
+    if (e.contains(c)) return in[index(c)];
+    if (boundary == Boundary3::Null) return 0;
+    return in[index({wrap3(c.x, e.nx), wrap3(c.y, e.ny), wrap3(c.z, e.nz)})];
+  };
   for (std::int64_t z = 0; z < e.nz; ++z) {
     for (std::int64_t y = 0; y < e.ny; ++y) {
       for (std::int64_t x = 0; x < e.nx; ++x) {
         const Vec3 a{x, y, z};
         // Gather: channel d arrives from the neighbor at a - e_d.
-        Site in = 0;
+        Site s = 0;
         for (int d = 0; d < kChannels; ++d) {
           const Vec3 v = velocity_of(d);
           const Vec3 src{x - v.x, y - v.y, z - v.z};
-          if ((lat.get(src) & channel_bit(d)) != 0) in |= channel_bit(d);
+          if ((get(src) & channel_bit(d)) != 0) s |= channel_bit(d);
         }
-        in |= static_cast<Site>(lat.at(a) & kObstacleBit);
-        out.at(a) = m.collide(in, Gas3Model::chirality(x, y, z, t));
+        s |= static_cast<Site>(in[index(a)] & kObstacleBit);
+        out[index(a)] = m.collide(s, Gas3Model::chirality(x, y, z, t));
       }
     }
   }
-  lat = out;
 }
 
 void reference_run(Lattice3& lat, std::int64_t generations,

@@ -440,7 +440,9 @@ lgca::SiteLattice SessionManager::state(SessionId id) {
   session_locked(id);
   wait_idle_locked(lk, id);
   const Session& s = session_locked(id);
-  if (s.engine != nullptr) return s.engine->state();
+  // Read through a const engine: the mutable state() would mark the
+  // bytes authoritative and cost the next step a repack.
+  if (s.engine != nullptr) return std::as_const(*s.engine).state();
   return core::load_checkpoint(spool_path(id)).state;
 }
 

@@ -13,6 +13,35 @@
 namespace lattice::lgca3d {
 namespace {
 
+TEST(Invariants3, HistogramSumsEqualPerSiteSums) {
+  const Gas3Model& m = Gas3Model::get();
+  std::uint64_t seed = 1;
+  for (const Extent3 e : {Extent3{1, 1, 1}, Extent3{3, 5, 7},
+                          Extent3{63, 2, 3}, Extent3{65, 3, 2}}) {
+    for (const bool raw : {false, true}) {
+      Lattice3 lat(e, Boundary3::Null);
+      if (raw) {
+        // Every one of the 256 states, obstacles and bit 6 included.
+        SplitMix64 rng(++seed);
+        for (std::size_t i = 0; i < lat.site_count(); ++i) {
+          lat[i] = static_cast<Site>(rng.next() & 0xff);
+        }
+      } else {
+        lat.at({0, 0, 0}) = kObstacleBit;
+        fill_random(lat, 0.4, ++seed);
+      }
+      Invariants3 want;
+      for (std::size_t i = 0; i < lat.site_count(); ++i) {
+        want.mass += m.mass(lat[i]);
+        want.momentum = want.momentum + m.momentum(lat[i]);
+        if (is_obstacle(lat[i])) ++want.obstacles;
+      }
+      EXPECT_EQ(measure_invariants(lat), want)
+          << e.nx << "x" << e.ny << "x" << e.nz << (raw ? " raw" : "");
+    }
+  }
+}
+
 TEST(Gas3Model, MassConservedExhaustively) {
   const Gas3Model& m = Gas3Model::get();
   for (unsigned in = 0; in < 256; ++in) {

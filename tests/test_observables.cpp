@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "lattice/common/rng.hpp"
 #include "lattice/lgca/gas_rule.hpp"
 #include "lattice/lgca/image_io.hpp"
 #include "lattice/lgca/init.hpp"
@@ -10,6 +11,42 @@
 
 namespace lattice::lgca {
 namespace {
+
+/// The per-site sums measure_invariants replaced with a histogram.
+Invariants per_site_invariants(const SiteLattice& lat, const GasModel& m) {
+  Invariants inv;
+  for (std::size_t i = 0; i < lat.site_count(); ++i) {
+    const Site s = lat[i];
+    inv.mass += m.mass(s);
+    inv.px += m.momentum(s).px;
+    inv.py += m.momentum(s).py;
+    if (is_obstacle(s)) ++inv.obstacles;
+  }
+  return inv;
+}
+
+TEST(Invariants, HistogramSumsEqualPerSiteSums) {
+  std::uint64_t seed = 1;
+  for (const GasKind kind : {GasKind::HPP, GasKind::FHP_I, GasKind::FHP_II,
+                             GasKind::FHP_III}) {
+    const GasModel& m = GasModel::get(kind);
+    for (const Extent e : {Extent{1, 1}, Extent{3, 7}, Extent{63, 5},
+                           Extent{65, 3}, Extent{129, 17}}) {
+      SiteLattice lat(e, Boundary::Null);
+      fill_random(lat, m, 0.4, ++seed, 0.2);
+      add_obstacle_disk(lat, e.width / 2.0, e.height / 2.0, 2.5);
+      EXPECT_EQ(measure_invariants(lat, m), per_site_invariants(lat, m))
+          << gas_kind_name(kind) << " " << e.width << "x" << e.height;
+      // Raw bytes: every one of the 256 states, stray bits included.
+      SplitMix64 rng(++seed);
+      for (std::size_t i = 0; i < lat.site_count(); ++i) {
+        lat[i] = static_cast<Site>(rng.next() & 0xff);
+      }
+      EXPECT_EQ(measure_invariants(lat, m), per_site_invariants(lat, m))
+          << gas_kind_name(kind) << " raw " << e.width << "x" << e.height;
+    }
+  }
+}
 
 TEST(Invariants, CountsSingleParticles) {
   const GasModel& m = GasModel::get(GasKind::FHP_I);

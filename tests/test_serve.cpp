@@ -27,6 +27,7 @@
 #include "lattice/core/engine.hpp"
 #include "lattice/lgca/init.hpp"
 #include "lattice/lgca3d/lattice3.hpp"
+#include "lattice/obs/metrics.hpp"
 #include "lattice/serve/json_parse.hpp"
 #include "lattice/serve/protocol.hpp"
 #include "lattice/serve/server.hpp"
@@ -173,6 +174,39 @@ TEST(SessionManager, EvictThenRestoreIsBitExactVsUneventfulTwin) {
         << "diverged after evict/restore, backend "
         << static_cast<int>(backend);
   }
+}
+
+TEST(SessionManager, StateQueryBetweenStepsDoesNotRepack) {
+  // A resident bit-plane session keeps its planes across a state read:
+  // the read unpacks into the engine's byte view, and the next step
+  // runs on the planes without transposing them back.
+  SessionManager::Config pool;
+  pool.max_resident = 2;
+  pool.workers = 1;
+  pool.spool_dir = fresh_dir("query_no_repack");
+  SessionManager mgr(pool);
+  const auto cfg = small_config(Backend::BitPlane, GasKind::HPP, 64);
+  const SessionId id = mgr.create(cfg, {}, random_init(0.3, 41));
+  // The twin runs the reference backend, so every plane pack counted
+  // below is the session's.
+  LatticeEngine twin(small_config(Backend::Reference, GasKind::HPP, 64));
+  lattice::lgca::fill_random(twin.state(), twin.gas_model(), 0.3, 41, 0.1);
+
+  const auto packs = [] {
+    const auto snap = lattice::obs::MetricsRegistry::global().snapshot();
+    const auto* h = snap.find_histogram("bitplane.pack_ns");
+    return h == nullptr ? std::int64_t{0} : h->count;
+  };
+  mgr.step(id, 6);
+  mgr.wait(id);
+  const std::int64_t before = packs();
+  twin.advance(6);
+  EXPECT_TRUE(mgr.state(id) == twin.state());
+  mgr.step(id, 6);
+  mgr.wait(id);
+  twin.advance(6);
+  if constexpr (lattice::obs::kEnabled) EXPECT_EQ(packs(), before);
+  EXPECT_TRUE(mgr.state(id) == twin.state());
 }
 
 TEST(SessionManager, Session3dEvictThenRestoreIsBitExact) {
