@@ -92,7 +92,15 @@ class SpaMachine {
   /// its (slice × depth) stage grid and rearms it in place, and the
   /// wavefront keeps its generation ladder, so a long-lived machine
   /// allocates its buffers once instead of per pass.
-  lgca::SiteLattice run(const lgca::SiteLattice& in);
+  lgca::SiteLattice run(const lgca::SiteLattice& in) {
+    return run(in, depth_);
+  }
+
+  /// A pass of `generations` (1..depth) generations on the leading
+  /// depths of every slice: the same state, counters and fault draws
+  /// as a fresh depth-`generations` machine (stage leads depend on the
+  /// stage's slice and depth index, not on the machine's depth).
+  lgca::SiteLattice run(const lgca::SiteLattice& in, int generations);
 
   /// Retarget the next run() at generation `t0`.
   void set_t0(std::int64_t t0) noexcept { t0_ = t0; }
@@ -107,8 +115,8 @@ class SpaMachine {
   }
 
  private:
-  lgca::SiteLattice run_cycle_exact(const lgca::SiteLattice& in);
-  lgca::SiteLattice run_parallel(const lgca::SiteLattice& in);
+  lgca::SiteLattice run_cycle_exact(const lgca::SiteLattice& in, int depth);
+  lgca::SiteLattice run_parallel(const lgca::SiteLattice& in, int depth);
 
   Extent extent_;
   const lgca::Rule* rule_;

@@ -54,7 +54,16 @@ class WsaPipeline {
 
   /// Stream `in` (which must use null boundaries) through the pipeline
   /// and return the lattice advanced by `depth` generations.
-  lgca::SiteLattice run(const lgca::SiteLattice& in);
+  lgca::SiteLattice run(const lgca::SiteLattice& in) {
+    return run(in, depth_);
+  }
+
+  /// A pass of `generations` (1..depth) generations: only the leading
+  /// stages tick, so the pass costs what a fresh depth-`generations`
+  /// pipeline would — the same state, counters and fault draws. A
+  /// stage's lead padding depends on its index, not on the depth,
+  /// which is what makes the prefix exact.
+  lgca::SiteLattice run(const lgca::SiteLattice& in, int generations);
 
   /// Run `passes` consecutive passes (depth generations each).
   lgca::SiteLattice run_passes(const lgca::SiteLattice& in, int passes);
@@ -65,8 +74,15 @@ class WsaPipeline {
   void set_t0(std::int64_t t0) noexcept { t0_ = t0; }
 
   const PipelineStats& stats() const noexcept { return stats_; }
+  Extent extent() const noexcept { return extent_; }
   int depth() const noexcept { return depth_; }
   int width() const noexcept { return width_; }
+
+  /// Latency of the first `generations` stages, in stream positions:
+  /// how far a pass of that many generations trails its input.
+  std::int64_t latency(int generations) const noexcept {
+    return generations * stages_.front().delay();
+  }
 
   /// Modeled wall-clock update rate for a technology: updates/s
   /// sustained at tech.clock_hz given the measured updates_per_tick.
@@ -85,10 +101,9 @@ class WsaPipeline {
   PipelineStats stats_;
 
   // Persistent machine state, allocated once in the constructor:
-  // stage s updates generation t0+s and sees lead_ of upstream latency
-  // accumulated over stages 0..s-1.
+  // stage s updates generation t0+s and sees latency(s) stream
+  // positions of upstream latency, accumulated over stages 0..s-1.
   std::vector<StreamStage> stages_;
-  std::int64_t lead_ = 0;  // total chain latency, stream positions
   std::vector<lgca::Site> bus_a_;
   std::vector<lgca::Site> bus_b_;
 };

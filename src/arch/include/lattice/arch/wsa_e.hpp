@@ -10,16 +10,17 @@
 // memory still touches only the ends of the chain, so its demand is a
 // constant 2·D bits/tick however deep the pipeline is.
 //
-// Functionally the machine is a width-1 WSA chain — the same
-// StreamStage ring-buffer silicon, so its output is bit-identical to
-// WSA and to the golden reference by construction. What this simulator
-// adds is the off-chip buffer channel: each stage's two external line
-// FIFOs are modeled as a banked memory part (arch/memory.hpp) seeing
-// one write and one read per FIFO per tick. With line-buffer-class
-// parts (the default: 2 banks, single-tick cycle) the channel keeps up
-// and the paper's full-bandwidth assumption holds; configure slower
-// parts and the lockstep machine visibly stalls, which is the §5
-// assumption made checkable.
+// Functionally the machine is a width-1 WSA chain, and that is how it
+// is built: a WsaEPipeline holds a width-1 WsaPipeline and runs every
+// pass on it, so its output, stream ticks, site updates, memory and
+// interchip traffic, buffer sites and fault draws are the chain's own.
+// What this class adds is the off-chip buffer channel: each stage's two
+// external line FIFOs are modeled as a banked memory part
+// (arch/memory.hpp) seeing one write and one read per FIFO per tick.
+// With line-buffer-class parts (the default: 2 banks, single-tick
+// cycle) the channel keeps up and the paper's full-bandwidth
+// assumption holds; configure slower parts and the lockstep machine
+// visibly stalls, which is the §5 assumption made checkable.
 
 #pragma once
 
@@ -27,8 +28,8 @@
 #include <vector>
 
 #include "lattice/arch/memory.hpp"
-#include "lattice/arch/stream_stage.hpp"
 #include "lattice/arch/technology.hpp"
+#include "lattice/arch/wsa.hpp"
 
 namespace lattice::arch {
 
@@ -66,7 +67,7 @@ struct WsaEStats {
 
 /// A k-stage WSA-E chain (one PE per chip, external line buffers) over
 /// a fixed lattice extent. Stage state persists across runs, exactly
-/// like WsaPipeline.
+/// like WsaPipeline — it is a WsaPipeline.
 class WsaEPipeline {
  public:
   /// `depth` chips (= generations per pass). `buffer` describes the
@@ -80,13 +81,19 @@ class WsaEPipeline {
 
   /// Stream `in` (null boundaries) through the chain; returns the
   /// lattice advanced by `depth` generations, bit-identical to WSA.
-  lgca::SiteLattice run(const lgca::SiteLattice& in);
+  lgca::SiteLattice run(const lgca::SiteLattice& in) {
+    return run(in, depth());
+  }
+
+  /// A pass of `generations` (1..depth) generations on the leading
+  /// stages, as WsaPipeline::run(in, generations).
+  lgca::SiteLattice run(const lgca::SiteLattice& in, int generations);
 
   /// Retarget the next run() at generation `t0`.
-  void set_t0(std::int64_t t0) noexcept { t0_ = t0; }
+  void set_t0(std::int64_t t0) noexcept { chain_.set_t0(t0); }
 
   const WsaEStats& stats() const noexcept { return stats_; }
-  int depth() const noexcept { return depth_; }
+  int depth() const noexcept { return chain_.depth(); }
 
   double modeled_rate(const Technology& tech) const {
     return stats_.updates_per_tick() * tech.clock_hz;
@@ -101,24 +108,19 @@ class WsaEPipeline {
   }
 
  private:
-  Extent extent_;
-  const lgca::Rule* rule_;
-  const lgca::CollisionLut* lut_ = nullptr;
-  int depth_;
-  std::int64_t t0_;
-  fault::FaultInjector* fault_ = nullptr;
+  double stall_rate(int generations);
+
+  WsaPipeline chain_;  // width 1: the §6.3 pin bill leaves one PE/chip
   MemoryConfig buffer_;
   WsaEStats stats_;
 
-  // Persistent width-1 stage chain, as in WsaPipeline.
-  std::vector<StreamStage> stages_;
-  std::int64_t lead_ = 0;
-
-  /// Buffer stalls per stream tick in steady state, measured once at
-  /// construction by serving the FIFO address schedule through
-  /// BankedMemory (the pattern is periodic, so a bounded window is
-  /// exact up to rounding).
-  double stall_rate_ = 0;
+  /// Buffer stalls per stream tick in steady state, indexed by the
+  /// pass's generation count and measured on first use by serving the
+  /// FIFO address schedule through BankedMemory (the pattern is
+  /// periodic, so a bounded window is exact up to rounding; the window
+  /// covers at most one pass, whose length depends on the chain's
+  /// latency). Negative until measured.
+  std::vector<double> stall_rate_;
 };
 
 }  // namespace lattice::arch

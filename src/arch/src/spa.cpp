@@ -324,18 +324,22 @@ SpaMachine::SpaMachine(Extent extent, const lgca::Rule& rule,
   slices_ = extent.width / slice_width;
 }
 
-lgca::SiteLattice SpaMachine::run(const lgca::SiteLattice& in) {
+lgca::SiteLattice SpaMachine::run(const lgca::SiteLattice& in,
+                                  int generations) {
   LATTICE_REQUIRE(in.extent() == extent_, "lattice extent mismatch");
   LATTICE_REQUIRE(in.boundary() == lgca::Boundary::Null,
                   "SPA streams null-boundary lattices only");
+  LATTICE_REQUIRE(generations >= 1 && generations <= depth_,
+                  "a pass runs 1..depth generations");
   const obs::TraceSpan span("spa.run");
   const obs::ScopedTimer run_timer(SpaObs::get().run_ns);
   const std::int64_t ticks_before = stats_.ticks;
   // Armed runs must exercise the simulated slice buffers and side
   // channels, which only exist in the cycle-exact walk.
   const bool faulty = fault_ != nullptr && fault_->armed();
-  lgca::SiteLattice out = (threads_ >= 2 && !faulty) ? run_parallel(in)
-                                                     : run_cycle_exact(in);
+  lgca::SiteLattice out = (threads_ >= 2 && !faulty)
+                              ? run_parallel(in, generations)
+                              : run_cycle_exact(in, generations);
   if (fault_ != nullptr && fault_->remapped_lanes() > 0) {
     // A remapped slice's columns are re-streamed serially by a
     // surviving neighbor pipeline: one extra slice-stream per removed
@@ -344,11 +348,14 @@ lgca::SiteLattice SpaMachine::run(const lgca::SiteLattice& in) {
                     slice_width_ * extent_.height;
   }
   obs::count(SpaObs::get().ticks, stats_.ticks - ticks_before);
-  obs::count(SpaObs::get().sites, extent_.area() * depth_);
+  obs::count(SpaObs::get().sites, extent_.area() * generations);
   return out;
 }
 
-lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
+// Both strategies run the machine's leading `depth` stages of every
+// slice; the rest stay idle for the pass.
+lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in,
+                                              int depth) {
   const lgca::CollisionLut* lut =
       fast_kernel_ ? lgca::CollisionLut::try_get(*rule_) : nullptr;
   const Extent slice_extent{slice_width_, extent_.height};
@@ -389,7 +396,7 @@ lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
   }
   auto& stages = cycle_->stages;
   for (auto& chain : stages) {
-    for (int d = 0; d < depth_; ++d) {
+    for (int d = 0; d < depth; ++d) {
       chain[static_cast<std::size_t>(d)].reset(t0_ + d);
     }
   }
@@ -397,7 +404,7 @@ lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
   lgca::SiteLattice out(extent_, lgca::Boundary::Null);
   std::int64_t collected = 0;
   const std::int64_t total_ticks = (slices_ - 1) * slice_width_ +
-                                   slice_area + depth_ * stage_delay + 2;
+                                   slice_area + depth * stage_delay + 2;
 
   for (std::int64_t tick = 0;
        tick < total_ticks || collected < extent_.area(); ++tick) {
@@ -414,12 +421,12 @@ lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
         v = in.at({j * slice_width_ + lx, ly});
         ++stats_.mem_sites_read;
       }
-      for (int d = 0; d < depth_; ++d) {
+      for (int d = 0; d < depth; ++d) {
         v = chain[static_cast<std::size_t>(d)].tick(v, stats_);
       }
       // Final stage output: logical position for the last stage.
       const std::int64_t out_pos =
-          tick - j * slice_width_ - depth_ * stage_delay;
+          tick - j * slice_width_ - depth * stage_delay;
       if (out_pos >= 0 && out_pos < slice_area) {
         const std::int64_t ly = out_pos / slice_width_;
         const std::int64_t lx = out_pos % slice_width_;
@@ -432,36 +439,23 @@ lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
   }
 
   stats_.buffer_sites = 0;
-  for (const auto& chain : stages)
-    for (const SliceStage& s : chain) stats_.buffer_sites += s.buffer_sites();
+  for (const auto& chain : stages) {
+    for (int d = 0; d < depth; ++d) {
+      stats_.buffer_sites += chain[static_cast<std::size_t>(d)].buffer_sites();
+    }
+  }
 
-  // Online conservation audit (gas rules only). Per slice the ledger
-  // does not balance — side channels carry particles between slices —
-  // but aggregated over all slices of one depth, the emitted stream
-  // must hold exactly the particles stored minus the exactly-predicted
-  // edge outflow, the stored stream must match the upstream emission,
-  // and obstacle geometry is static.
+  // Online conservation audit (gas rules only), one ledger per depth
+  // summed over its slices.
   if (fault_ != nullptr && lut != nullptr) {
-    std::int64_t link_mass = 0;
-    std::int64_t link_obs = 0;
-    for (std::int64_t p = 0; p < extent_.area(); ++p) {
-      const lgca::Site v = in[static_cast<std::size_t>(p)];
-      link_mass += lgca::particle_count(v);
-      link_obs += lgca::is_obstacle(v) ? 1 : 0;
-    }
-    for (int d = 0; d < depth_; ++d) {
-      fault::StageAudit agg;
-      for (std::int64_t j = 0; j < slices_; ++j) {
-        agg += stages[static_cast<std::size_t>(j)][static_cast<std::size_t>(d)]
-                   .audit();
+    std::vector<fault::StageAudit> ledgers(static_cast<std::size_t>(depth));
+    for (const auto& chain : stages) {
+      for (int d = 0; d < depth; ++d) {
+        ledgers[static_cast<std::size_t>(d)] +=
+            chain[static_cast<std::size_t>(d)].audit();
       }
-      if (agg.in_mass != link_mass || agg.in_obstacles != link_obs) {
-        fault_->report_conservation_error();
-      }
-      if (!agg.balanced()) fault_->report_conservation_error();
-      link_mass = agg.out_mass;
-      link_obs = agg.out_obstacles;
     }
+    fault::audit_conservation_chain(*fault_, in, ledgers);
   }
   return out;
 }
@@ -473,7 +467,8 @@ lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in) {
 // data finished at step s-1 or earlier — the barrier between steps is
 // the side-channel synchronization. Output is the reference evolution
 // by construction: every site update reads pure generation-d data.
-lgca::SiteLattice SpaMachine::run_parallel(const lgca::SiteLattice& in) {
+lgca::SiteLattice SpaMachine::run_parallel(const lgca::SiteLattice& in,
+                                           int depth) {
   const lgca::CollisionLut* lut =
       fast_kernel_ ? lgca::CollisionLut::try_get(*rule_) : nullptr;
   const std::int64_t h = extent_.height;
@@ -502,7 +497,7 @@ lgca::SiteLattice SpaMachine::run_parallel(const lgca::SiteLattice& in) {
 
   const std::int64_t chunk = std::min<std::int64_t>(8, h);
   const std::int64_t chunks = (h + chunk - 1) / chunk;
-  const std::int64_t steps = chunks + 2 * (depth_ - 1);
+  const std::int64_t steps = chunks + 2 * (depth - 1);
 
   const auto lane_body = [&](unsigned lane, const auto& sync) {
     const std::int64_t s0 = slices_ * lane / lanes;
@@ -510,7 +505,7 @@ lgca::SiteLattice SpaMachine::run_parallel(const lgca::SiteLattice& in) {
     const std::int64_t x0 = s0 * slice_width_;
     const std::int64_t x1 = s1 * slice_width_;
     for (std::int64_t s = 0; s < steps; ++s) {
-      for (int d = 0; d < depth_; ++d) {
+      for (int d = 0; d < depth; ++d) {
         const std::int64_t c = s - 2 * d;
         if (c < 0 || c >= chunks) continue;
         const lgca::SiteLattice& src = gen[static_cast<std::size_t>(d)];
@@ -550,17 +545,18 @@ lgca::SiteLattice SpaMachine::run_parallel(const lgca::SiteLattice& in) {
   // in-range window cells per side of each interior slice edge per
   // generation. Buffers are the 2W+6 ring of each (slice, stage).
   stats_.ticks += (slices_ - 1) * slice_width_ + slice_width_ * h +
-                  depth_ * (slice_width_ + 1) + 2;
-  stats_.site_updates += area * depth_;
+                  depth * (slice_width_ + 1) + 2;
+  stats_.site_updates += area * depth;
   stats_.mem_sites_read += area;
   stats_.mem_sites_written += area;
-  stats_.boundary_fetches += static_cast<std::int64_t>(depth_) *
+  stats_.boundary_fetches += static_cast<std::int64_t>(depth) *
                              (slices_ - 1) * 2 * (3 * h - 2);
-  stats_.buffer_sites = slices_ * depth_ * (2 * slice_width_ + 6);
+  stats_.buffer_sites = slices_ * depth * (2 * slice_width_ + 6);
   // Hand the final generation to the caller and re-arm the slot so the
   // persistent ladder stays fully allocated for the next pass.
-  lgca::SiteLattice result = std::move(gen.back());
-  gen.back() = lgca::SiteLattice(extent_, lgca::Boundary::Null);
+  lgca::SiteLattice& last = gen[static_cast<std::size_t>(depth)];
+  lgca::SiteLattice result = std::move(last);
+  last = lgca::SiteLattice(extent_, lgca::Boundary::Null);
   return result;
 }
 

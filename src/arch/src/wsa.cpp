@@ -35,34 +35,40 @@ WsaPipeline::WsaPipeline(Extent extent, const lgca::Rule& rule, int depth,
   // and sees s·delay positions of upstream latency. run() rearms these
   // stages in place instead of reconstructing them.
   stages_.reserve(static_cast<std::size_t>(depth_));
+  std::int64_t lead = 0;
   for (int s = 0; s < depth_; ++s) {
-    stages_.emplace_back(extent_, *rule_, t0_ + s, width_, lead_, lut_,
+    stages_.emplace_back(extent_, *rule_, t0_ + s, width_, lead, lut_,
                          fault_, s);
-    lead_ += stages_.back().delay();
+    lead += stages_.back().delay();
   }
   bus_a_.assign(static_cast<std::size_t>(width_), 0);
   bus_b_.assign(static_cast<std::size_t>(width_), 0);
 }
 
-lgca::SiteLattice WsaPipeline::run(const lgca::SiteLattice& in) {
+lgca::SiteLattice WsaPipeline::run(const lgca::SiteLattice& in,
+                                   int generations) {
   LATTICE_REQUIRE(in.extent() == extent_, "lattice extent mismatch");
   LATTICE_REQUIRE(in.boundary() == lgca::Boundary::Null,
                   "serial pipelines stream null-boundary lattices only");
+  LATTICE_REQUIRE(generations >= 1 && generations <= depth_,
+                  "a pass runs 1..depth generations");
   const obs::TraceSpan span("wsa.run");
   const obs::ScopedTimer run_timer(WsaObs::get().run_ns);
   const std::int64_t ticks_before = stats_.ticks;
 
-  // Rearm the persistent chain for this pass's generations.
-  for (int s = 0; s < depth_; ++s) {
-    stages_[static_cast<std::size_t>(s)].reset(t0_ + s);
+  // Rearm the leading stages of the persistent chain for this pass.
+  const auto chain = static_cast<std::size_t>(generations);
+  for (std::size_t s = 0; s < chain; ++s) {
+    stages_[s].reset(t0_ + static_cast<std::int64_t>(s));
   }
 
   const std::int64_t area = extent_.area();
+  const std::int64_t lead = latency(generations);
   lgca::SiteLattice out(extent_, lgca::Boundary::Null);
 
   // Total stream positions: the lattice plus the accumulated latency,
   // rounded up to whole ticks.
-  const std::int64_t total_positions = area + lead_;
+  const std::int64_t total_positions = area + lead;
 
   std::int64_t collected = 0;
   for (std::int64_t pos = 0; pos < total_positions || collected < area;
@@ -77,16 +83,16 @@ lgca::SiteLattice WsaPipeline::run(const lgca::SiteLattice& in) {
     // Ripple the batch through the chain.
     lgca::Site* cur = bus_a_.data();
     lgca::Site* nxt = bus_b_.data();
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
+    for (std::size_t s = 0; s < chain; ++s) {
       stages_[s].tick(cur, nxt);
       std::swap(cur, nxt);
-      if (s + 1 < stages_.size()) stats_.interchip_sites += width_;
+      if (s + 1 < chain) stats_.interchip_sites += width_;
     }
     ++stats_.ticks;
     // The final stage's logical output position trails the *global*
     // input position by the total latency.
     for (int b = 0; b < width_; ++b) {
-      const std::int64_t out_pos = pos + b - lead_;
+      const std::int64_t out_pos = pos + b - lead;
       if (out_pos >= 0 && out_pos < area) {
         out[static_cast<std::size_t>(out_pos)] = cur[b];
         ++stats_.mem_sites_written;
@@ -95,33 +101,23 @@ lgca::SiteLattice WsaPipeline::run(const lgca::SiteLattice& in) {
     }
   }
 
-  stats_.site_updates += area * depth_;
+  stats_.site_updates += area * generations;
   stats_.buffer_sites = 0;
-  for (const StreamStage& s : stages_) stats_.buffer_sites += s.buffer_sites();
+  for (std::size_t s = 0; s < chain; ++s) {
+    stats_.buffer_sites += stages_[s].buffer_sites();
+  }
   obs::count(WsaObs::get().ticks, stats_.ticks - ticks_before);
-  obs::count(WsaObs::get().sites, area * depth_);
+  obs::count(WsaObs::get().sites, area * generations);
 
   // Online conservation audit (gas rules only): each stage is one
-  // generation, so its emitted stream must carry exactly the particles
-  // it received minus the exactly-predicted edge outflow, its input
-  // must match the upstream emission, and obstacle geometry is static.
+  // generation of the chain.
   if (fault_ != nullptr && lut_ != nullptr) {
-    std::int64_t link_mass = 0;
-    std::int64_t link_obs = 0;
-    for (std::int64_t p = 0; p < area; ++p) {
-      const lgca::Site v = in[static_cast<std::size_t>(p)];
-      link_mass += lgca::particle_count(v);
-      link_obs += lgca::is_obstacle(v) ? 1 : 0;
+    std::vector<fault::StageAudit> ledgers;
+    ledgers.reserve(chain);
+    for (std::size_t s = 0; s < chain; ++s) {
+      ledgers.push_back(stages_[s].audit());
     }
-    for (const StreamStage& s : stages_) {
-      const fault::StageAudit& a = s.audit();
-      if (a.in_mass != link_mass || a.in_obstacles != link_obs) {
-        fault_->report_conservation_error();
-      }
-      if (!a.balanced()) fault_->report_conservation_error();
-      link_mass = a.out_mass;
-      link_obs = a.out_obstacles;
-    }
+    fault::audit_conservation_chain(*fault_, in, ledgers);
   }
   return out;
 }

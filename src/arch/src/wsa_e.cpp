@@ -26,33 +26,24 @@ struct WsaEObs {
 WsaEPipeline::WsaEPipeline(Extent extent, const lgca::Rule& rule, int depth,
                            std::int64_t t0, bool fast_kernel,
                            fault::FaultInjector* fault, MemoryConfig buffer)
-    : extent_(extent),
-      rule_(&rule),
-      lut_(fast_kernel ? lgca::CollisionLut::try_get(rule) : nullptr),
-      depth_(depth),
-      t0_(t0),
-      fault_(fault),
-      buffer_(buffer) {
-  LATTICE_REQUIRE(depth >= 1, "WSA-E pipeline needs at least one stage");
-  // One PE per chip (the §6.3 pin bill): the chain is a width-1 WSA.
-  stages_.reserve(static_cast<std::size_t>(depth_));
-  for (int s = 0; s < depth_; ++s) {
-    stages_.emplace_back(extent_, *rule_, t0_ + s, /*batch=*/1, lead_, lut_,
-                         fault_, s);
-    lead_ += stages_.back().delay();
-  }
+    : chain_(extent, rule, depth, /*width=*/1, t0, fast_kernel, fault),
+      buffer_(buffer),
+      stall_rate_(static_cast<std::size_t>(depth) + 1, -1.0) {}
 
-  // Measure the buffer channel once. A stage's external buffer is two
-  // line FIFOs; per tick each sees a head write at address p mod cap
-  // and a tail read at (p+1) mod cap. cap is the line length plus
-  // slack, rounded up to even so the head/tail pair always straddles a
-  // two-bank part. Every FIFO of every stage runs this same pattern in
-  // lockstep, so the machine's stall rate is one channel's stall rate;
-  // the pattern is periodic in cap ticks, so a bounded window measures
-  // it exactly (up to end-of-window rounding).
-  const std::int64_t cap = ((extent_.width + 3) / 2) * 2;
-  const std::int64_t window = std::min<std::int64_t>(
-      extent_.area() + lead_, std::max<std::int64_t>(4 * cap, 1024));
+double WsaEPipeline::stall_rate(int generations) {
+  double& rate = stall_rate_[static_cast<std::size_t>(generations)];
+  if (rate >= 0) return rate;
+  // A stage's external buffer is two line FIFOs; per tick each sees a
+  // head write at address p mod cap and a tail read at (p+1) mod cap.
+  // cap is the line length plus slack, rounded up to even so the
+  // head/tail pair always straddles a two-bank part. Every FIFO of
+  // every stage runs this same pattern in lockstep, so the machine's
+  // stall rate is one channel's stall rate.
+  const Extent extent = chain_.extent();
+  const std::int64_t cap = ((extent.width + 3) / 2) * 2;
+  const std::int64_t window =
+      std::min<std::int64_t>(extent.area() + chain_.latency(generations),
+                             std::max<std::int64_t>(4 * cap, 1024));
   std::vector<std::vector<std::int64_t>> schedule(
       static_cast<std::size_t>(window));
   for (std::int64_t t = 0; t < window; ++t) {
@@ -60,85 +51,36 @@ WsaEPipeline::WsaEPipeline(Extent extent, const lgca::Rule& rule, int depth,
   }
   BankedMemory channel(buffer_);
   const MemoryResult res = channel.service(schedule);
-  stall_rate_ = static_cast<double>(res.stalls) / static_cast<double>(window);
+  rate = static_cast<double>(res.stalls) / static_cast<double>(window);
+  return rate;
 }
 
-lgca::SiteLattice WsaEPipeline::run(const lgca::SiteLattice& in) {
-  LATTICE_REQUIRE(in.extent() == extent_, "lattice extent mismatch");
-  LATTICE_REQUIRE(in.boundary() == lgca::Boundary::Null,
-                  "serial pipelines stream null-boundary lattices only");
+lgca::SiteLattice WsaEPipeline::run(const lgca::SiteLattice& in,
+                                    int generations) {
   const obs::TraceSpan span("wsa_e.run");
   const obs::ScopedTimer run_timer(WsaEObs::get().run_ns);
-
-  for (int s = 0; s < depth_; ++s) {
-    stages_[static_cast<std::size_t>(s)].reset(t0_ + s);
-  }
-
-  const std::int64_t area = extent_.area();
-  lgca::SiteLattice out(extent_, lgca::Boundary::Null);
-  const std::int64_t total_positions = area + lead_;
-
-  lgca::Site bus_a = 0;
-  lgca::Site bus_b = 0;
-  std::int64_t pass_ticks = 0;
-  std::int64_t collected = 0;
-  for (std::int64_t pos = 0; pos < total_positions || collected < area;
-       ++pos) {
-    bus_a = pos < area ? in[static_cast<std::size_t>(pos)] : lgca::Site{0};
-    if (pos < area) ++stats_.mem_sites_read;
-    lgca::Site* cur = &bus_a;
-    lgca::Site* nxt = &bus_b;
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-      stages_[s].tick(cur, nxt);
-      std::swap(cur, nxt);
-      if (s + 1 < stages_.size()) ++stats_.interchip_sites;
-    }
-    ++pass_ticks;
-    const std::int64_t out_pos = pos - lead_;
-    if (out_pos >= 0 && out_pos < area) {
-      out[static_cast<std::size_t>(out_pos)] = *cur;
-      ++stats_.mem_sites_written;
-      ++collected;
-    }
-  }
+  const std::int64_t ticks_before = chain_.stats().ticks;
+  lgca::SiteLattice out = chain_.run(in, generations);
+  const PipelineStats& chain = chain_.stats();
 
   // The off-chip channel's cost for this pass: 4 words per stage per
   // stream tick, and the measured per-tick stall surcharge of the
   // configured parts (zero with line_buffer_config()).
-  const auto stall_ticks = static_cast<std::int64_t>(
-      std::llround(stall_rate_ * static_cast<double>(pass_ticks)));
-  stats_.stream_ticks += pass_ticks;
-  stats_.buffer_stall_ticks += stall_ticks;
+  const std::int64_t pass_ticks = chain.ticks - ticks_before;
+  const auto stall_ticks = static_cast<std::int64_t>(std::llround(
+      stall_rate(generations) * static_cast<double>(pass_ticks)));
   stats_.ticks += pass_ticks + stall_ticks;
-  stats_.buffer_accesses += 4 * static_cast<std::int64_t>(depth_) * pass_ticks;
-  stats_.site_updates += area * depth_;
-  stats_.buffer_sites = 0;
-  for (const StreamStage& s : stages_) stats_.buffer_sites += s.buffer_sites();
+  stats_.stream_ticks = chain.ticks;
+  stats_.buffer_stall_ticks += stall_ticks;
+  stats_.buffer_accesses += 4 * std::int64_t{generations} * pass_ticks;
+  stats_.site_updates = chain.site_updates;
+  stats_.mem_sites_read = chain.mem_sites_read;
+  stats_.mem_sites_written = chain.mem_sites_written;
+  stats_.interchip_sites = chain.interchip_sites;
+  stats_.buffer_sites = chain.buffer_sites;
   obs::count(WsaEObs::get().ticks, pass_ticks + stall_ticks);
-  obs::count(WsaEObs::get().sites, area * depth_);
+  obs::count(WsaEObs::get().sites, in.extent().area() * generations);
   obs::count(WsaEObs::get().stalls, stall_ticks);
-
-  // Online conservation audit (gas rules only), exactly as in WSA:
-  // each stage is one generation, so its emitted stream must carry the
-  // particles it received minus the exactly-predicted edge outflow.
-  if (fault_ != nullptr && lut_ != nullptr) {
-    std::int64_t link_mass = 0;
-    std::int64_t link_obs = 0;
-    for (std::int64_t p = 0; p < area; ++p) {
-      const lgca::Site v = in[static_cast<std::size_t>(p)];
-      link_mass += lgca::particle_count(v);
-      link_obs += lgca::is_obstacle(v) ? 1 : 0;
-    }
-    for (const StreamStage& s : stages_) {
-      const fault::StageAudit& a = s.audit();
-      if (a.in_mass != link_mass || a.in_obstacles != link_obs) {
-        fault_->report_conservation_error();
-      }
-      if (!a.balanced()) fault_->report_conservation_error();
-      link_mass = a.out_mass;
-      link_obs = a.out_obstacles;
-    }
-  }
   return out;
 }
 

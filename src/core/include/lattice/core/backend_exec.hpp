@@ -1,12 +1,16 @@
 // BackendExec — the polymorphic executor layer behind LatticeEngine.
 //
-// One executor per Backend value, created by make_backend_exec() and
-// owned by the engine. Everything backend-specific lives here: kernel
+// Three executor classes, created by make_backend_exec() and owned by
+// the engine: ReferenceExec (Reference, Reference3), BitPlaneExec
+// (BitPlane, BitPlane3) and MachineExec (the WSA, WSA-E and SPA
+// hardware simulators). Everything backend-specific lives here: kernel
 // detection (CollisionLut / PlaneKernel), slice-width defaulting,
 // boundary requirements, the per-pass obs histogram, fault-injector
 // wiring, persistent pipeline/machine state, and the report fields
-// only that backend knows (bandwidth, off-chip buffer ledger). The
-// engine itself never branches on the backend.
+// only that backend knows (bandwidth, off-chip buffer ledger). An
+// executor is ready to run once constructed: it builds its machine
+// from the engine's config (extent, boundary), so there is no separate
+// setup step. The engine itself never branches on the backend.
 //
 // State residency: a byte-native executor (Reference, WSA, SPA, WSA-E)
 // advances the engine's byte lattice in place. A resident executor
@@ -15,9 +19,12 @@
 // by store_state() only when a caller needs bytes and pushed back by
 // load_state() only after a caller wrote them (docs/ARCHITECTURE.md).
 //
-// Adding a backend is one new translation unit (docs/ARCHITECTURE.md):
-// subclass BackendExec, implement prepare()/run_pass(), and add a case
-// to the factory in backend_exec.cpp.
+// Adding a backend (docs/ARCHITECTURE.md): a new simulated machine is
+// one more alternative of MachineExec's machine variant (it needs
+// set_t0(), run(in, generations) and stats() with ticks/site_updates/
+// buffer_sites); anything else is a new translation unit that
+// subclasses BackendExec, implements run_pass(), and adds a case to
+// the factory in backend_exec.cpp.
 
 #pragma once
 
@@ -50,11 +57,6 @@ class BackendExec {
   virtual ~BackendExec();
   BackendExec(const BackendExec&) = delete;
   BackendExec& operator=(const BackendExec&) = delete;
-
-  /// One-time setup against the engine's initial state: validate the
-  /// boundary mode, build the persistent pipeline/machine. Called by
-  /// the engine exactly once, before the first run_pass().
-  virtual void prepare(const lgca::SiteLattice& state) = 0;
 
   /// Advance the state by `chunk` generations, the first of which is
   /// `generation`: a byte-native executor advances `state` in place; a

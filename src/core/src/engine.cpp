@@ -120,7 +120,6 @@ LatticeEngine::LatticeEngine(Config config)
         (config_.checkpoint_interval + quantum - 1) / quantum * quantum;
     interval_ = config_.checkpoint_interval;
   }
-  exec_->prepare(state_);
   native_stale_ = exec_->owns_state();
 }
 

@@ -20,17 +20,10 @@ std::unique_ptr<BackendExec> make_bitplane_exec(
     const LatticeEngine::Config& config, const lgca::Rule& rule,
     fault::FaultInjector* injector);
 
-std::unique_ptr<BackendExec> make_wsa_exec(const LatticeEngine::Config& config,
-                                           const lgca::Rule& rule,
-                                           fault::FaultInjector* injector);
-
-/// May normalize config in place (spa_slice_width == 0 → §6.2 pick).
-std::unique_ptr<BackendExec> make_spa_exec(LatticeEngine::Config& config,
-                                           const lgca::Rule& rule,
-                                           fault::FaultInjector* injector);
-
-std::unique_ptr<BackendExec> make_wsa_e_exec(
-    const LatticeEngine::Config& config, const lgca::Rule& rule,
-    fault::FaultInjector* injector);
+/// Wsa, WsaE and Spa. May normalize config in place (SPA's
+/// spa_slice_width == 0 → §6.2 pick).
+std::unique_ptr<BackendExec> make_machine_exec(LatticeEngine::Config& config,
+                                               const lgca::Rule& rule,
+                                               fault::FaultInjector* injector);
 
 }  // namespace lattice::core::detail

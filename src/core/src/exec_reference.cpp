@@ -44,8 +44,6 @@ class ReferenceExec final : public BackendExec {
     }
   }
 
-  void prepare(const lgca::SiteLattice& state) override { (void)state; }
-
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                 std::int64_t generation) override {
     if (guard_) {

@@ -32,11 +32,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "lattice/common/error.hpp"
 #include "lattice/lgca/geometry.hpp"
+#include "lattice/lgca/lattice.hpp"
 #include "lattice/lgca/site.hpp"
 #include "lattice/obs/metrics.hpp"
 
@@ -343,5 +345,17 @@ class FaultInjector {
   FaultCounters counters_;
   ObsIds obs_;
 };
+
+/// The conservation chain of one machine pass (gas rules only).
+/// `ledgers[g]` is generation g's whole-lattice ledger: one stage's on
+/// WSA, the sum over one depth's slices on SPA (a single slice does not
+/// balance, since side channels carry particles between slices). Each
+/// generation must take in exactly the particles and obstacles the
+/// previous one emitted (the pass input `in` for g = 0) and must
+/// balance; every broken link and every unbalanced generation reports
+/// one conservation error.
+void audit_conservation_chain(FaultInjector& fault,
+                              const lgca::SiteLattice& in,
+                              std::span<const StageAudit> ledgers);
 
 }  // namespace lattice::fault

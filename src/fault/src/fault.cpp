@@ -241,4 +241,24 @@ int FaultInjector::disable_stuck() noexcept {
   return distinct;
 }
 
+void audit_conservation_chain(FaultInjector& fault,
+                              const lgca::SiteLattice& in,
+                              std::span<const StageAudit> ledgers) {
+  std::int64_t link_mass = 0;
+  std::int64_t link_obstacles = 0;
+  for (std::size_t i = 0; i < in.site_count(); ++i) {
+    const lgca::Site v = in[i];
+    link_mass += lgca::particle_count(v);
+    link_obstacles += lgca::is_obstacle(v) ? 1 : 0;
+  }
+  for (const StageAudit& a : ledgers) {
+    if (a.in_mass != link_mass || a.in_obstacles != link_obstacles) {
+      fault.report_conservation_error();
+    }
+    if (!a.balanced()) fault.report_conservation_error();
+    link_mass = a.out_mass;
+    link_obstacles = a.out_obstacles;
+  }
+}
+
 }  // namespace lattice::fault

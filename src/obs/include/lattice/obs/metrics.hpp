@@ -88,6 +88,11 @@ struct HistogramStats {
   /// Upper-bound estimate of the p-quantile (p in [0, 1]): the
   /// exclusive ceiling of the bucket where the quantile falls.
   std::int64_t quantile_ceiling(double p) const noexcept;
+
+  /// Record `v` straight into these stats, bucketed exactly as the
+  /// registry buckets it. For locally owned histograms, which keep
+  /// working in -DLATTICE_OBS=OFF builds.
+  void add(std::int64_t v) noexcept;
 };
 
 /// Everything the registry knew at one merge point.

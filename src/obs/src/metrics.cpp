@@ -36,6 +36,14 @@ MetricsRegistry::Id register_name(std::vector<std::string>& names,
 
 }  // namespace
 
+void HistogramStats::add(std::int64_t v) noexcept {
+  min = count == 0 ? v : std::min(min, v);
+  max = count == 0 ? v : std::max(max, v);
+  ++count;
+  sum += v;
+  ++buckets[static_cast<std::size_t>(bucket_of(v))];
+}
+
 std::int64_t HistogramStats::quantile_ceiling(double p) const noexcept {
   if (count <= 0) return 0;
   p = std::clamp(p, 0.0, 1.0);

@@ -1,7 +1,6 @@
 #include "lattice/serve/session_manager.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <filesystem>
 #include <utility>
 
@@ -38,27 +37,6 @@ struct ServeObs {
     return ids;
   }
 };
-
-/// Record into a locally-owned HistogramStats (same bucket convention
-/// as the registry: bucket b holds [2^(b-1), 2^b), bucket 0 holds
-/// v <= 0). Local so quantiles survive -DLATTICE_OBS=OFF builds.
-void record_local(obs::HistogramStats& h, std::int64_t v) {
-  if (h.count == 0) {
-    h.min = v;
-    h.max = v;
-  } else {
-    h.min = std::min(h.min, v);
-    h.max = std::max(h.max, v);
-  }
-  ++h.count;
-  h.sum += v;
-  const int b =
-      v <= 0 ? 0
-             : std::min(static_cast<int>(std::bit_width(
-                            static_cast<std::uint64_t>(v))),
-                        obs::HistogramStats::kBuckets - 1);
-  ++h.buckets[static_cast<std::size_t>(b)];
-}
 
 }  // namespace
 
@@ -212,7 +190,7 @@ void SessionManager::step(SessionId id, std::int64_t generations) {
   s.total_requested += generations;
   s.pending += generations;
   s.step_targets.emplace_back(s.committed + s.pending, obs::now_ns());
-  record_local(stats_.queue_depth_hist, ready_count_);
+  stats_.queue_depth_hist.add(ready_count_);
   obs::record(ServeObs::get().queue_depth_hist, ready_count_);
   if (!s.queued && !s.running) {
     enqueue_locked(s);
@@ -365,7 +343,7 @@ void SessionManager::worker_loop() {
     while (!s->step_targets.empty() &&
            s->step_targets.front().first <= s->committed) {
       const std::int64_t latency = t1 - s->step_targets.front().second;
-      record_local(stats_.step_latency, latency);
+      stats_.step_latency.add(latency);
       obs::record(ServeObs::get().step_latency_ns, latency);
       s->step_targets.pop_front();
     }

@@ -75,8 +75,8 @@ TEST(WsaEExec, RejectsPeriodicBoundaries) {
 
 // The hardware executors keep their pipeline/machine across passes.
 // Chopping a run into ragged chunks (tail chunks shorter than the
-// pipeline depth, forcing the temporary-pipeline path between
-// persistent full passes) must be invisible in the physics.
+// pipeline depth, which run on the machine's leading stages between
+// full passes) must be invisible in the physics.
 class PersistentExecTest : public ::testing::TestWithParam<Backend> {};
 
 INSTANTIATE_TEST_SUITE_P(HardwareBackends, PersistentExecTest,

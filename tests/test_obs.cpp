@@ -275,7 +275,8 @@ TEST(Histogram, BucketBoundariesArePowersOfTwo) {
   reg.record(id, 8);    // bucket 4: [8, 16)
   reg.record(id, 1023);  // bucket 10: [512, 1024)
   reg.record(id, 1024);  // bucket 11: [1024, 2048)
-  const obs::HistogramStats* h = reg.snapshot().find_histogram("test.buckets");
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::HistogramStats* h = snap.find_histogram("test.buckets");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 10);
   EXPECT_EQ(h->min, -5);
@@ -292,6 +293,25 @@ TEST(Histogram, BucketBoundariesArePowersOfTwo) {
   EXPECT_EQ(obs::HistogramStats::bucket_floor(11), 1024);
 }
 
+TEST(Histogram, AddBucketsExactlyLikeTheRegistry) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with LATTICE_OBS=OFF";
+  obs::MetricsRegistry reg;
+  const auto id = reg.histogram("test.local");
+  obs::HistogramStats local;
+  for (const std::int64_t v : {-3, 0, 1, 2, 3, 7, 8, 1023, 1024, 5, 1}) {
+    reg.record(id, v);
+    local.add(v);
+  }
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::HistogramStats* h = snap.find_histogram("test.local");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(local.count, h->count);
+  EXPECT_EQ(local.sum, h->sum);
+  EXPECT_EQ(local.min, h->min);
+  EXPECT_EQ(local.max, h->max);
+  EXPECT_EQ(local.buckets, h->buckets);
+}
+
 TEST(Histogram, SumMeanAndQuantiles) {
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with LATTICE_OBS=OFF";
   obs::MetricsRegistry reg;
@@ -301,7 +321,8 @@ TEST(Histogram, SumMeanAndQuantiles) {
     reg.record(id, v);
     sum += v;
   }
-  const obs::HistogramStats* h = reg.snapshot().find_histogram("test.quant");
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::HistogramStats* h = snap.find_histogram("test.quant");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 100);
   EXPECT_EQ(h->sum, sum);
@@ -328,7 +349,8 @@ TEST(Histogram, ParallelRecordsKeepExactCountAndSum) {
     });
   }
   for (std::thread& w : workers) w.join();
-  const obs::HistogramStats* h = reg.snapshot().find_histogram("test.par_hist");
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::HistogramStats* h = snap.find_histogram("test.par_hist");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, kThreads * kEach);
   EXPECT_EQ(h->sum, kEach * (1 + 2 + 3 + 4 + 5 + 6));

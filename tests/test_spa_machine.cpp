@@ -177,5 +177,93 @@ TEST(SpaMachine, RejectsBadConfiguration) {
   EXPECT_THROW((void)spa.run(periodic), Error);
 }
 
+// ---- ragged passes on the persistent machine ----
+
+// Counters one pass added: the cumulative fields as a difference, the
+// buffer_sites gauge as it stands after the pass.
+SpaStats pass_delta(const SpaStats& after, const SpaStats& before) {
+  SpaStats d;
+  d.ticks = after.ticks - before.ticks;
+  d.site_updates = after.site_updates - before.site_updates;
+  d.mem_sites_read = after.mem_sites_read - before.mem_sites_read;
+  d.mem_sites_written = after.mem_sites_written - before.mem_sites_written;
+  d.boundary_fetches = after.boundary_fetches - before.boundary_fetches;
+  d.buffer_sites = after.buffer_sites;
+  return d;
+}
+
+struct SpaPrefixCase {
+  unsigned threads;
+  bool armed;  // buffer-flip plan attached (forces the cycle-exact walk)
+};
+
+class SpaPrefixTest : public ::testing::TestWithParam<SpaPrefixCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsAndPlans, SpaPrefixTest,
+    ::testing::Values(SpaPrefixCase{1, false}, SpaPrefixCase{1, true},
+                      SpaPrefixCase{3, false}, SpaPrefixCase{3, true}),
+    [](const auto& info) {
+      return "t" + std::to_string(info.param.threads) +
+             (info.param.armed ? "Armed" : "Clean");
+    });
+
+TEST_P(SpaPrefixTest, PrefixRunEqualsFreshShallowMachine) {
+  // run(in, c) on a depth-4 machine that has already run a full pass
+  // must be a fresh depth-c machine in every observable: state, every
+  // counter, and (armed) the injected and detected faults.
+  const SpaPrefixCase pc = GetParam();
+  const GasRule rule(GasKind::FHP_II);
+  const Extent e{48, 20};
+  const SiteLattice in = random_gas(e, GasKind::FHP_II, 23);
+  fault::FaultPlan plan;
+  plan.seed = 13;
+  plan.buffer_flip_rate = pc.armed ? 1e-3 : 0.0;
+  fault::FaultInjector persistent_inj(plan);
+  SpaMachine persistent(e, rule, 8, 4, /*t0=*/0, pc.threads,
+                        /*fast_kernel=*/true,
+                        pc.armed ? &persistent_inj : nullptr);
+  (void)persistent.run(in);
+  for (int c = 1; c < 4; ++c) {
+    const std::int64_t t0 = 4 + 3 * c;
+    fault::FaultInjector fresh_inj(plan);
+    SpaMachine fresh(e, rule, 8, c, t0, pc.threads, /*fast_kernel=*/true,
+                     pc.armed ? &fresh_inj : nullptr);
+    const SiteLattice want = fresh.run(in);
+
+    const SpaStats before = persistent.stats();
+    const fault::FaultCounters faults_before = persistent_inj.counters();
+    persistent.set_t0(t0);
+    const SiteLattice got = persistent.run(in, c);
+
+    EXPECT_TRUE(got == want) << "c=" << c;
+    const SpaStats d = pass_delta(persistent.stats(), before);
+    EXPECT_EQ(d.ticks, fresh.stats().ticks) << "c=" << c;
+    EXPECT_EQ(d.site_updates, fresh.stats().site_updates) << "c=" << c;
+    EXPECT_EQ(d.mem_sites_read, fresh.stats().mem_sites_read) << "c=" << c;
+    EXPECT_EQ(d.mem_sites_written, fresh.stats().mem_sites_written)
+        << "c=" << c;
+    EXPECT_EQ(d.boundary_fetches, fresh.stats().boundary_fetches)
+        << "c=" << c;
+    EXPECT_EQ(d.buffer_sites, fresh.stats().buffer_sites) << "c=" << c;
+    EXPECT_EQ(persistent_inj.counters().injected() - faults_before.injected(),
+              fresh_inj.counters().injected())
+        << "c=" << c;
+    EXPECT_EQ(persistent_inj.counters().detected() - faults_before.detected(),
+              fresh_inj.counters().detected())
+        << "c=" << c;
+    if (!pc.armed) EXPECT_TRUE(got == golden(in, rule, c, t0));
+  }
+  if (pc.armed) EXPECT_GT(persistent_inj.counters().injected(), 0);
+}
+
+TEST(SpaMachine, RejectsPassesOutsideTheMachine) {
+  const GasRule rule(GasKind::HPP);
+  const SiteLattice in({16, 8}, Boundary::Null);
+  SpaMachine spa({16, 8}, rule, 4, 2);
+  EXPECT_THROW((void)spa.run(in, 0), Error);
+  EXPECT_THROW((void)spa.run(in, 3), Error);
+}
+
 }  // namespace
 }  // namespace lattice::arch
