@@ -8,6 +8,7 @@
 
 #include "lattice/common/thread_pool.hpp"
 #include "lattice/lgca/collision_lut.hpp"
+#include "lattice/lgca/gas_rule.hpp"
 #include "lattice/obs/metrics.hpp"
 #include "lattice/obs/trace.hpp"
 
@@ -56,9 +57,11 @@ class SliceStage {
     if (fault_ != nullptr) {
       meta_.assign(ring_.size(), 0);
       // Conservation is only defined for gases; generic rules rely on
-      // the parity and side-channel detectors alone.
-      audit_.valid = lut_ != nullptr;
-      if (lut_ != nullptr) topo_ = lut_->model().topology();
+      // the parity and side-channel detectors alone. The ledger is
+      // armed on both the fused-LUT and the rule path.
+      const auto* gas = dynamic_cast<const lgca::GasRule*>(&rule);
+      audit_.valid = gas != nullptr;
+      if (gas != nullptr) topo_ = gas->model().topology();
     }
   }
 
@@ -447,7 +450,8 @@ lgca::SiteLattice SpaMachine::run_cycle_exact(const lgca::SiteLattice& in,
 
   // Online conservation audit (gas rules only), one ledger per depth
   // summed over its slices.
-  if (fault_ != nullptr && lut != nullptr) {
+  if (fault_ != nullptr &&
+      dynamic_cast<const lgca::GasRule*>(rule_) != nullptr) {
     std::vector<fault::StageAudit> ledgers(static_cast<std::size_t>(depth));
     for (const auto& chain : stages) {
       for (int d = 0; d < depth; ++d) {

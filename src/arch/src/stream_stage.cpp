@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "lattice/lgca/gas_rule.hpp"
+
 namespace lattice::arch {
 
 namespace {
@@ -39,8 +41,10 @@ StreamStage::StreamStage(Extent extent, const lgca::Rule& rule,
     meta_.assign(ring_.size(), 0);
     // Conservation is only defined for gases (collisions conserve
     // particles); generic rules fall back to parity detection alone.
-    audit_.valid = lut_ != nullptr;
-    if (lut_ != nullptr) topo_ = lut_->model().topology();
+    // The ledger is armed on both the fused-LUT and the rule path.
+    const auto* gas = dynamic_cast<const lgca::GasRule*>(&rule);
+    audit_.valid = gas != nullptr;
+    if (gas != nullptr) topo_ = gas->model().topology();
   }
 }
 

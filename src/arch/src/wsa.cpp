@@ -1,5 +1,6 @@
 #include "lattice/arch/wsa.hpp"
 
+#include "lattice/lgca/gas_rule.hpp"
 #include "lattice/obs/metrics.hpp"
 #include "lattice/obs/trace.hpp"
 
@@ -111,7 +112,8 @@ lgca::SiteLattice WsaPipeline::run(const lgca::SiteLattice& in,
 
   // Online conservation audit (gas rules only): each stage is one
   // generation of the chain.
-  if (fault_ != nullptr && lut_ != nullptr) {
+  if (fault_ != nullptr &&
+      dynamic_cast<const lgca::GasRule*>(rule_) != nullptr) {
     std::vector<fault::StageAudit> ledgers;
     ledgers.reserve(chain);
     for (std::size_t s = 0; s < chain; ++s) {

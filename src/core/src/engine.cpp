@@ -106,7 +106,9 @@ LatticeEngine::LatticeEngine(Config config)
       "sources (buffer/side/stuck) need a hardware simulator's buffers "
       "and links, the plane-memory sources (plane_flip/halo_flip/"
       "stuck_planes/parity_plane) need the bit-plane backend (the "
-      "reference executor mirrors the non-halo subset)");
+      "reference executor mirrors the non-halo subset), and a stuck PE "
+      "must exist in the machine (stage < pipeline_depth, lane < PEs "
+      "per stage)");
   if (injector_ != nullptr) {
     // The interval defaults after executor creation so it can quantize
     // to the executor's pass quantum: a temporally-tiled pass commits

@@ -86,7 +86,19 @@ class MachineExec final : public BackendExec {
   bool supports_fault_plan(
       const fault::FaultPlan& plan) const noexcept override {
     // The machines' buffers and links take the machine-memory sources;
-    // there is no plane-resident storage to corrupt.
+    // there is no plane-resident storage to corrupt. A stuck PE must be
+    // one the machine has — (stage, lane) inside depth × PEs per stage
+    // — or it would never be injected.
+    std::int64_t lanes = 1;  // WSA-E: one PE per stage
+    if (cfg_.backend == Backend::Wsa) lanes = cfg_.wsa_width;
+    if (cfg_.backend == Backend::Spa) {
+      lanes = cfg_.extent.width / cfg_.spa_slice_width;
+    }
+    for (const fault::StuckAt& s : plan.stuck) {
+      if (s.stage < 0 || s.stage >= depth_ || s.lane < 0 || s.lane >= lanes) {
+        return false;
+      }
+    }
     return !plan.arms_plane_memory();
   }
 

@@ -13,11 +13,11 @@
 // (docs/PERFORMANCE.md has the cost model).
 //
 // The word width is ISA-dispatched at runtime (plane_simd.hpp): the
-// same boolean algebra runs on 64-bit scalar words, 256-bit AVX2
-// vectors (4 words per op), or 512-bit AVX-512 vectors (8 words per
-// op). All variants are bit-identical; the scalar path is always
-// compiled in and handles the remainder + masked tail word even when a
-// vector path runs the bulk.
+// boolean algebra is written once over a word type and runs on 64-bit
+// scalar words, 256-bit AVX2 vectors (4 words per op), or 512-bit
+// AVX-512 vectors (8 words per op). All variants are bit-identical; the
+// scalar word is always compiled in and finishes the remainder + masked
+// tail word even when a vector word runs the bulk.
 //
 // Parallelism is static band ownership: plane_gas_run splits the
 // lattice into at most `threads` contiguous bands of row units (see
@@ -45,10 +45,9 @@
 
 #include "lattice/lgca/gas_model.hpp"
 #include "lattice/lgca/plane_lattice.hpp"
+#include "lattice/lgca/plane_simd.hpp"
 
 namespace lattice::lgca {
-
-struct PlaneSpanOps;
 
 /// Grain floor for the band scheduler: a row band must own at least
 /// this many payload words of one plane per generation, or the planner
@@ -195,6 +194,7 @@ class PlaneKernel final : public PlaneUnitKernel {
 
   const GasModel* model_;
   int channels_;
+  SpanFn PlaneSpanOps::*span_;  // this gas's entry of every ops table
   std::uint32_t written_ = 0;
   std::uint32_t halo_ = 0;
   std::array<std::array<Tap, 6>, 2> taps_{};  // [row parity][channel]

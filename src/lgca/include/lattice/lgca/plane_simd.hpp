@@ -1,12 +1,12 @@
 // Runtime SIMD dispatch for the bit-plane span kernels.
 //
 // PlaneKernel's inner loops — funnel-shift gather plus boolean-algebra
-// collision over whole words — exist in three ISA variants: the
-// portable 64-bit scalar form, an AVX2 form (256 sites per vector op)
-// and an AVX-512 form (512 sites per vector op). All three compute the
-// same function bit-for-bit; the vector forms simply run 4 or 8 lattice
-// words per instruction and fall back to the scalar span for the
-// masked tail word and any sub-vector remainder, so odd widths and
+// collision over whole words — are written once, over a word type, and
+// instantiated at three widths: the portable 64-bit scalar word, an
+// AVX2 word (256 sites per op) and an AVX-512 word (512 sites per op).
+// All three compute the same function bit-for-bit; the vector widths
+// run 4 or 8 lattice words per op and finish the masked tail word and
+// any sub-vector remainder with 64-bit words, so odd widths and
 // guard-halo handling never depend on the ISA.
 //
 // Which variants exist in a binary is a build-time fact (the
@@ -33,22 +33,16 @@ enum class SimdLevel : int {
 
 const char* to_string(SimdLevel level) noexcept;
 
-/// Span kernels: compute words [k0, k1) of one destination row from
+/// Span kernel: compute words [k0, k1) of one destination row from
 /// gathered source rows (see PlaneKernel). `last_word`/`tail_mask`
-/// identify the row's masked final payload word. HPP has no rest
-/// plane and no chirality; FHP takes the rest row plus (y, t) for the
-/// per-event chirality hash.
-using HppSpanFn = void (*)(const std::uint64_t* const src[6],
-                           const int dx[6], const std::uint64_t* obst,
-                           std::uint64_t* const out[8], std::int64_t k0,
-                           std::int64_t k1, std::int64_t last_word,
-                           std::uint64_t tail_mask);
-using FhpSpanFn = void (*)(const std::uint64_t* const src[6],
-                           const int dx[6], const std::uint64_t* rest,
-                           const std::uint64_t* obst,
-                           std::uint64_t* const out[8], std::int64_t k0,
-                           std::int64_t k1, std::int64_t y, std::int64_t t,
-                           std::int64_t last_word, std::uint64_t tail_mask);
+/// identify the row's masked final payload word. Every gas shares the
+/// signature; HPP ignores the rest row and (y, t), which FHP uses for
+/// its rest rules and per-event chirality hash.
+using SpanFn = void (*)(const std::uint64_t* const src[6], const int dx[6],
+                        const std::uint64_t* rest, const std::uint64_t* obst,
+                        std::uint64_t* const out[8], std::int64_t k0,
+                        std::int64_t k1, std::int64_t y, std::int64_t t,
+                        std::int64_t last_word, std::uint64_t tail_mask);
 
 /// Population count over `n` consecutive words. The fault detectors'
 /// per-plane particle ledgers (docs/ROBUSTNESS.md) popcount every
@@ -65,9 +59,9 @@ using PopcountFn = std::uint64_t (*)(const std::uint64_t* words,
 struct PlaneSpanOps {
   const char* name;  // "scalar64" | "avx2" | "avx512"
   int width_bits;    // sites per vector op: 64 | 256 | 512
-  HppSpanFn hpp;
-  FhpSpanFn fhp1;  // FHP-I: rest plane never gathered
-  FhpSpanFn fhp2;  // FHP-II: rest rules live
+  SpanFn hpp;
+  SpanFn fhp1;  // FHP-I: rest plane never gathered
+  SpanFn fhp2;  // FHP-II: rest rules live
   PopcountFn popcount;
 };
 

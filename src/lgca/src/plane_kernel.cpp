@@ -5,7 +5,6 @@
 #include "lattice/lgca/gas_rule.hpp"
 #include "lattice/lgca/geometry.hpp"
 #include "lattice/lgca/plane_simd.hpp"
-#include "plane_span.hpp"
 
 namespace lattice::lgca {
 
@@ -18,7 +17,11 @@ constexpr int kObstaclePlane = 7;
 }  // namespace
 
 PlaneKernel::PlaneKernel(GasKind kind)
-    : model_(&GasModel::get(kind)), channels_(model_->channels()) {
+    : model_(&GasModel::get(kind)),
+      channels_(model_->channels()),
+      span_(kind == GasKind::HPP     ? &PlaneSpanOps::hpp
+            : kind == GasKind::FHP_I ? &PlaneSpanOps::fhp1
+                                     : &PlaneSpanOps::fhp2) {
   const Topology topo = model_->topology();
   for (int parity = 0; parity < 2; ++parity) {
     for (int i = 0; i < channels_; ++i) {
@@ -122,19 +125,7 @@ void PlaneKernel::update_row_span(PlaneLattice& next, std::int64_t dst_y,
   for (int p = 0; p < PlaneLattice::kPlanes; ++p) out[p] = next.row(p, dst_y);
   const std::int64_t last = cur.words_per_row() - 1;
   const std::uint64_t tail = cur.tail_mask();
-  switch (model_->kind()) {
-    case GasKind::HPP:
-      ops.hpp(src, dx, obst, out, k0, k1, last, tail);
-      break;
-    case GasKind::FHP_I:
-      ops.fhp1(src, dx, rest, obst, out, k0, k1, sem_y, t, last, tail);
-      break;
-    case GasKind::FHP_II:
-      ops.fhp2(src, dx, rest, obst, out, k0, k1, sem_y, t, last, tail);
-      break;
-    case GasKind::FHP_III:
-      LATTICE_ASSERT(false, "PlaneKernel cannot run FHP-III");
-  }
+  (ops.*span_)(src, dx, rest, obst, out, k0, k1, sem_y, t, last, tail);
 }
 
 void PlaneKernel::update_unit_window(PlaneLattice& next, std::int64_t dst_y,

@@ -138,15 +138,39 @@ TEST_P(BitPlaneGasTest, NonzeroTimeOriginMatchesReference) {
 }
 
 TEST_P(BitPlaneGasTest, TileSeamsAreInvisible) {
-  // A pathological one-word tile maximizes tile seams; output must not
-  // depend on the tile size.
+  // Column tiles bound every span, so vector blocks start at nonzero
+  // word offsets and a tile edge, not the row's masked last word, bounds
+  // the overlapping final block. Output must not depend on the tile size
+  // or the SIMD level: the pathological one-word tile plus tiles that
+  // are not multiples of any vector width, on rows wide enough for
+  // whole AVX-512 blocks (2373 sites ends in a masked word, 2560 in a
+  // full one), at every supported level and both boundaries, against
+  // the scalar whole-row result.
   const GasRule rule(GetParam());
   const PlaneKernel& kernel = PlaneKernel::get(GetParam());
-  SiteLattice lat({300, 11}, Boundary::Periodic);
-  fill_random(lat, rule.model(), 0.3, 9, 0.2);
-  const SiteLattice whole = plane_next(lat, kernel, 2);
-  const SiteLattice tiled = plane_next(lat, kernel, 2, /*tile_words=*/1);
-  EXPECT_TRUE(whole == tiled) << kind_name(GetParam());
+  for (const Boundary b : {Boundary::Null, Boundary::Periodic}) {
+    for (const std::int64_t width :
+         {std::int64_t{300}, std::int64_t{2373}, std::int64_t{2560}}) {
+      SiteLattice lat({width, 11}, b);
+      fill_random(lat, rule.model(), 0.3, 9 + width, 0.2);
+      SiteLattice whole;
+      {
+        const ScopedSimdLevel pin(SimdLevel::Scalar);
+        whole = plane_next(lat, kernel, 2);
+      }
+      for (const SimdLevel level :
+           {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
+        if (!simd_supported(level)) continue;
+        const ScopedSimdLevel pin(level);
+        for (const std::int64_t tile : {1, 5, 11, 13}) {
+          EXPECT_TRUE(plane_next(lat, kernel, 2, tile) == whole)
+              << kind_name(GetParam()) << " width " << width << " tile "
+              << tile << " level " << to_string(level)
+              << (b == Boundary::Null ? " null" : " periodic");
+        }
+      }
+    }
+  }
 }
 
 TEST(PlaneKernel, RejectsGasesWithoutBooleanForm) {

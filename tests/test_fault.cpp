@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "lattice/arch/spa.hpp"
 #include "lattice/arch/wsa.hpp"
 #include "lattice/core/engine.hpp"
@@ -391,6 +393,101 @@ TEST(EngineFault, SpaRemapsStuckSliceAndDegradesGracefully) {
   EXPECT_GT(r.ticks, clean.report().ticks)
       << "degraded operation pays the remap tick penalty";
   EXPECT_LT(r.effective_rate, clean.report().effective_rate);
+}
+
+// The conservation ledger is a property of the gas, not of the fused
+// kernel: on the rule path (fast_kernel = false) a mass-changing stuck
+// PE must be injected, detected and handled exactly as on the fused-LUT
+// twin — WSA exhausts its retries, SPA remaps the slice and recovers.
+class MachineAuditTest : public ::testing::TestWithParam<core::Backend> {};
+
+INSTANTIATE_TEST_SUITE_P(Machines, MachineAuditTest,
+                         ::testing::Values(core::Backend::Wsa,
+                                           core::Backend::Spa),
+                         [](const auto& info) {
+                           return info.param == core::Backend::Wsa ? "Wsa"
+                                                                   : "Spa";
+                         });
+
+TEST_P(MachineAuditTest, RulePathAuditsConservationLikeFusedPath) {
+  struct Outcome {
+    bool threw = false;
+    fault::FaultCounters counters;
+    lgca::SiteLattice state;
+  };
+  const auto run = [&](bool fast_kernel) {
+    core::LatticeEngine::Config c;
+    c.extent = {48, 24};
+    c.gas = lgca::GasKind::HPP;
+    c.backend = GetParam();
+    c.pipeline_depth = 1;
+    c.wsa_width = 4;
+    c.spa_slice_width = 8;
+    c.fast_kernel = fast_kernel;
+    c.fault.stuck.push_back({0, 1, 0x3F, 0xFF});
+    core::LatticeEngine e(c);
+    lgca::fill_random(e.state(), e.gas_model(), 0.3, 7, 0.15);
+    Outcome o;
+    try {
+      e.advance(6);
+    } catch (const fault::CorruptionError&) {
+      o.threw = true;
+    }
+    o.counters = e.fault_counters();
+    o.state = std::as_const(e).state();
+    return o;
+  };
+  const Outcome fused = run(true);
+  const Outcome rule = run(false);
+  ASSERT_GT(fused.counters.detected_conservation, 0);
+  EXPECT_EQ(rule.threw, fused.threw);
+  EXPECT_EQ(rule.counters.injected_stuck, fused.counters.injected_stuck);
+  EXPECT_EQ(rule.counters.injected(), fused.counters.injected());
+  EXPECT_EQ(rule.counters.detected_conservation,
+            fused.counters.detected_conservation);
+  EXPECT_EQ(rule.counters.detected(), fused.counters.detected());
+  EXPECT_TRUE(rule.state == fused.state);
+}
+
+// A stuck PE the machine does not have would never be injected, so the
+// engine rejects it at construction; the last-stage, last-lane corner
+// is inside the machine and must inject.
+TEST(EngineFault, StuckPeOutsideTheMachineIsRejected) {
+  struct Shape {
+    const char* name;
+    core::Backend backend;
+    std::int64_t lanes;  // PEs per stage
+  };
+  const int depth = 3;
+  for (const Shape& shape : {Shape{"wsa", core::Backend::Wsa, 4},
+                             Shape{"wsa_e", core::Backend::WsaE, 1},
+                             Shape{"spa", core::Backend::Spa, 64 / 8}}) {
+    const auto config = [&](int stage, std::int64_t lane) {
+      auto c = engine_config(shape.backend, {64, 24});
+      c.pipeline_depth = depth;
+      c.wsa_width = 4;
+      c.spa_slice_width = 8;
+      c.max_retries = 1;
+      c.fault.stuck.push_back({stage, lane, 0x3F, 0xFF});
+      return c;
+    };
+    EXPECT_THROW(core::LatticeEngine{config(depth, 0)}, Error) << shape.name;
+    EXPECT_THROW(core::LatticeEngine{config(0, shape.lanes)}, Error)
+        << shape.name;
+    EXPECT_THROW(core::LatticeEngine{config(-1, 0)}, Error) << shape.name;
+    EXPECT_THROW(core::LatticeEngine{config(0, -1)}, Error) << shape.name;
+
+    core::LatticeEngine e(config(depth - 1, shape.lanes - 1));
+    lgca::fill_random(e.state(), e.gas_model(), 0.3, 7, 0.15);
+    fault::FaultCounters counters;
+    try {
+      e.advance(depth);
+      counters = e.fault_counters();
+    } catch (const fault::CorruptionError& err) {
+      counters = err.counters();
+    }
+    EXPECT_GT(counters.injected_stuck, 0) << shape.name;
+  }
 }
 
 }  // namespace
