@@ -20,6 +20,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -222,9 +224,10 @@ bool print_tables(std::vector<Row>& rows) {
   // full-mode table and docs/PERFORMANCE.md); (c) 262 Ki sites is below
   // the band planner's ~1 Mi-site grain floor, so the 1/2/4/8-thread
   // ladder collapses to one band and stays flat (monotone) on any
-  // host; (d) the generation count is high enough that each bit-plane
-  // row takes tens of milliseconds — sub-millisecond rows are all
-  // timer noise and the CI regression gate would flake.
+  // host, once timed interleaved (below) so host drift cannot order
+  // the rows; (d) the generation count is high enough that each
+  // bit-plane row takes tens of milliseconds — sub-millisecond rows are
+  // all timer noise and the CI regression gate would flake.
   const std::vector<BenchShape> shapes =
       quick ? std::vector<BenchShape>{{4096, 64, 2000, 100}}
             : std::vector<BenchShape>{{256, 256, 64, 64},
@@ -322,10 +325,29 @@ bool print_tables(std::vector<Row>& rows) {
       // The dispatched path (best compiled+supported variant) across
       // the thread ladder; the band planner may collapse small runs to
       // one band, which is exactly what the monotonicity gate checks.
+      // The ladder is timed interleaved: every rep visits each thread
+      // count once, in an order that rotates per rep, and each row
+      // keeps its best rep. Timed one row after another, host drift
+      // between rows alone could order them and trip the gate.
       const char* active = lgca::to_string(lgca::plane_simd_active());
-      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-        auto [s, sites] = bench_planes(threads);
-        emit("bit-plane", active, threads, shape.gens, s, sites == ref);
+      constexpr unsigned kLadder[] = {1u, 2u, 4u, 8u};
+      constexpr int kRungs = std::size(kLadder);
+      constexpr int kLadderReps = 5;
+      std::vector<lgca::PlaneLattice> ladder(kRungs, lgca::PlaneLattice(in));
+      std::vector<double> best(kRungs, std::numeric_limits<double>::max());
+      for (int rep = 0; rep < kLadderReps; ++rep) {
+        for (int i = 0; i < kRungs; ++i) {
+          const int rung = (rep + i) % kRungs;
+          lgca::PlaneLattice& planes = ladder[rung];
+          planes.pack(in);
+          best[rung] = std::min(best[rung], time_run([&] {
+            lgca::plane_gas_run(planes, kernel, shape.gens, 0, kLadder[rung]);
+          }));
+        }
+      }
+      for (int rung = 0; rung < kRungs; ++rung) {
+        emit("bit-plane", active, kLadder[rung], shape.gens, best[rung],
+             ladder[rung].to_sites() == ref);
       }
     }
   }

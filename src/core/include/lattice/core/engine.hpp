@@ -164,16 +164,18 @@ class LatticeEngine {
     /// once at construction; non-gas rules always use the generic
     /// path). On by default — output is bit-identical either way.
     bool fast_kernel = true;
-    /// Temporal blocking for the software backends (Reference fused
-    /// path and BitPlane): generations computed per cache-resident
-    /// trapezoidal tile before the next tile is touched (core/
-    /// tile_plan.hpp). 1 = off (today's streaming sweep); 0 = let the
-    /// cache model choose; >= 2 = that exact depth when feasible.
-    /// Output is bit-identical at any setting. On the guarded
-    /// (fault-plan) path the checkpoint cadence quantizes to multiples
-    /// of the resolved depth, so a rollback always lands on a tile-
-    /// block boundary. Hardware backends ignore this (pipeline_depth
-    /// is their temporal blocking).
+    /// Temporal blocking for the bit-plane backends (BitPlane and
+    /// BitPlane3): generations computed per cache-resident trapezoidal
+    /// tile before the next tile is touched (core/tile_plan.hpp).
+    /// 1 = off (the streaming sweep); 0 = let the cache model choose;
+    /// >= 2 = that exact depth when feasible. Output is bit-identical
+    /// at any setting. On the guarded (fault-plan) path the checkpoint
+    /// cadence quantizes to multiples of the resolved depth, so a
+    /// rollback always lands on a tile-block boundary. Reference and
+    /// Reference3 ignore this (the golden sweeps stay plain oracles;
+    /// the byte-LUT sweep is compute-bound, so blocking buys it
+    /// nothing), and so do the hardware backends (pipeline_depth is
+    /// their temporal blocking).
     int tile_generations = 1;
     arch::Technology tech = arch::Technology::paper1987();
     /// WSA-E only: the external line-buffer parts on each stage's

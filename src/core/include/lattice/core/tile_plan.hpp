@@ -14,7 +14,7 @@
 //
 // The planner is deliberately conservative and deterministic: it knows
 // the row footprint of the target storage layout (bit-plane rows are
-// ~8 planes × padded words; byte rows are `width` bytes), a fixed
+// ~8 planes × padded words, z-slabs ny such rows), a fixed
 // cache budget (no runtime cache sniffing — reproducible plans beat
 // clever ones), and nothing else. When the whole lattice already fits
 // the budget, temporal blocking cannot help (the sweep is already
@@ -34,7 +34,7 @@ namespace lattice::core {
 struct TilePlan {
   /// Generations per tile visit; 1 = no temporal blocking.
   std::int64_t depth = 1;
-  /// Output rows per tile (the evened value the drivers will use).
+  /// Output rows per tile (the evened value the plane driver will use).
   std::int64_t tile_rows = 0;
   /// Number of tiles the lattice splits into.
   std::int64_t tiles = 0;
@@ -55,7 +55,7 @@ struct TilePlan {
   /// the measured k-ladder is bending toward (d = 2).
   double updates_per_io_ceiling = 0;
 
-  /// The two numbers the lgca drivers consume.
+  /// The two numbers the plane driver consumes.
   lgca::TemporalTiling tiling() const noexcept {
     return {depth, tile_rows};
   }
@@ -70,9 +70,6 @@ inline constexpr std::int64_t kDefaultTileCacheBytes = 1 << 20;
 /// Bytes of one bit-plane storage row of a width-`w` lattice: all
 /// kPlanes planes at the padded word stride PlaneLattice uses.
 std::int64_t plane_row_bytes(Extent extent);
-
-/// Bytes of one byte-lattice row: one byte per site.
-std::int64_t byte_row_bytes(Extent extent);
 
 /// Resolve a temporal tile plan.
 ///

@@ -269,7 +269,7 @@ void LatticeEngine::advance_guarded(std::int64_t generations) {
   // Pass quantum: a temporally-tiled executor commits whole tile
   // blocks, so every attempted chunk is rounded up to a block multiple
   // (capped by the remaining work — the final partial block is the one
-  // place a short block is allowed, and the tiled drivers handle it).
+  // place a short block is allowed, and the plane driver handles it).
   const std::int64_t quantum =
       std::max<std::int64_t>(std::int64_t{1}, exec_->chunk_quantum());
   int attempts = 0;

@@ -6,12 +6,14 @@
 // updater over the flat {nx, ny·nz} state and stays deliberately
 // unclever: it is the oracle the BitPlane3 backend is measured
 // against, so it reuses the updater the parity tests trust rather than
-// growing a fast path of its own.
+// growing a fast path of its own. Neither dimension tiles:
+// Config::tile_generations is ignored (the fused byte-LUT sweep is
+// compute-bound, so temporal blocking has no traffic to save), and
+// chunk_quantum() stays 1.
 
 #include <optional>
 
 #include "exec_factories.hpp"
-#include "lattice/core/tile_plan.hpp"
 #include "lattice/fault/memory_guard.hpp"
 #include "lattice/lgca/collision_lut.hpp"
 #include "lattice/lgca/reference.hpp"
@@ -33,15 +35,6 @@ class ReferenceExec final : public BackendExec {
       lut_ = lgca::CollisionLut::try_get(rule);
     }
     if (injector != nullptr) guard_.emplace(*injector);
-    // Temporal blocking applies to the fused byte-LUT sweep only: the
-    // generic virtual-dispatch path has no windowed row update, and
-    // the guarded path must step one generation at a time anyway (the
-    // site guard injects and audits per generation).
-    if (lut_ != nullptr && !guard_) {
-      plan_ = plan_temporal_tiles(config.extent, config.boundary,
-                                  byte_row_bytes(config.extent),
-                                  config.tile_generations);
-    }
   }
 
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
@@ -85,12 +78,7 @@ class ReferenceExec final : public BackendExec {
   void run_generations(lgca::SiteLattice& state, std::int64_t chunk,
                        std::int64_t generation) {
     if (lut_ != nullptr) {
-      if (plan_.depth > 1) {
-        lgca::fused_gas_run_tiled(state, *lut_, chunk, generation,
-                                  config_.threads, plan_.tiling());
-      } else {
-        lgca::fused_gas_run(state, *lut_, chunk, generation, config_.threads);
-      }
+      lgca::fused_gas_run(state, *lut_, chunk, generation, config_.threads);
     } else if (config_.threads > 1 && !backend_is_3d(config_.backend)) {
       lgca::reference_run_parallel(state, *rule_, chunk, config_.threads,
                                    generation);
@@ -104,7 +92,6 @@ class ReferenceExec final : public BackendExec {
   LatticeEngine::Config config_;
   const lgca::Rule* rule_;
   const lgca::CollisionLut* lut_ = nullptr;
-  TilePlan plan_;
   std::optional<fault::SiteMemoryGuard> guard_;
 };
 

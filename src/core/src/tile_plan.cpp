@@ -22,8 +22,6 @@ std::int64_t plane_row_bytes(Extent extent) {
          (PlaneLattice::kWordBits / 8);
 }
 
-std::int64_t byte_row_bytes(Extent extent) { return extent.width; }
-
 std::int64_t plane_slab_bytes(lgca3d::Extent3 extent) {
   return extent.ny * plane_row_bytes({extent.nx, extent.ny});
 }
@@ -53,7 +51,7 @@ TilePlan plan_temporal_tiles(Extent extent, lgca::Boundary boundary,
     if (!lgca::temporal_tiling_feasible(tiling, extent, boundary)) {
       return false;
     }
-    // Even the tiles out exactly as the drivers will.
+    // Even the tiles out exactly as the plane driver will.
     const std::int64_t tiles = (extent.height + rows - 1) / rows;
     plan.depth = depth;
     plan.tile_rows = (extent.height + tiles - 1) / tiles;

@@ -13,6 +13,11 @@
 // Everything here is bit-identical to the reference updater by
 // construction and by exhaustive test (all 256 site states × both
 // chirality variants × both row parities).
+//
+// This is the reference executor's fast path, and it stays a plain
+// double-buffered sweep: a table read per site makes it compute-bound,
+// so the temporal tiling of the bit-plane driver (temporal_tile.hpp)
+// has no memory traffic to save here.
 
 #pragma once
 
@@ -68,27 +73,8 @@ class CollisionLut {
   void update_rows(SiteLattice& next, const SiteLattice& cur, std::int64_t t,
                    std::int64_t y0, std::int64_t y1) const;
 
-  /// Windowed single-row update for the temporal tiling driver
-  /// (temporal_tile.hpp): compute one full row into `next` at storage
-  /// row `dst_y` from `cur` centered on storage row `src_y`, where the
-  /// two lattices may have different heights (a trapezoid scratch strip
-  /// vs the real lattice). `sem_y` is the row's semantic lattice
-  /// coordinate — it alone selects the hex-parity tap set and feeds the
-  /// chirality hash, so offset (or wrapped) scratch storage reproduces
-  /// the golden update bit-exactly. Source rows resolve as src_y +
-  /// tap.dy against cur's own height and boundary. update_span with
-  /// x0 = 0, x1 = width is exactly this with dst_y == src_y == sem_y.
-  void update_span_window(SiteLattice& next, std::int64_t dst_y,
-                          const SiteLattice& cur, std::int64_t src_y,
-                          std::int64_t sem_y, std::int64_t t) const;
-
  private:
   explicit CollisionLut(GasKind kind);
-
-  void row_core(SiteLattice& next, std::int64_t dst_y,
-                const SiteLattice& cur, std::int64_t src_y,
-                std::int64_t sem_y, std::int64_t t, std::int64_t x0,
-                std::int64_t x1) const;
 
   const GasModel* model_;
   int tap_count_;

@@ -19,16 +19,17 @@
 // scalar word is always compiled in and finishes the remainder + masked
 // tail word even when a vector word runs the bulk.
 //
-// Parallelism is static band ownership: plane_gas_run splits the
-// lattice into at most `threads` contiguous bands of row units (see
-// PlaneUnitKernel — a row in 2-D, a z-slab in 3-D), each owned by one
-// pool lane for the whole run, with one barrier per generation. A
-// grain-size floor collapses the band count (down to an inline
-// single-band loop) when per-generation work is too small to pay for
-// the rendezvous, so thread scaling is monotone — more threads never
-// run slower than fewer (docs/ARCHITECTURE.md, "Threading contract").
-// The same driver runs lgca3d::PlaneKernel3; only the kernel knows the
-// dimension.
+// Parallelism is static lane ownership: the one plane driver
+// (plane_gas_run_tiled, temporal_tile.hpp) splits the lattice into
+// contiguous bands of row units (see PlaneUnitKernel — a row in 2-D,
+// a z-slab in 3-D), each owned by one pool lane for the whole run,
+// with one barrier per block of generations (one generation untiled;
+// a band is a depth-1 tile). A grain-size floor collapses the band
+// count of an untiled run (down to an inline single-band loop) when
+// per-generation work is too small to pay for the rendezvous, so
+// thread scaling is monotone — more threads never run slower than
+// fewer (docs/ARCHITECTURE.md, "Threading contract"). The same driver
+// runs lgca3d::PlaneKernel3; only the kernel knows the dimension.
 //
 // Supported gases: HPP, FHP-I, FHP-II. FHP-III's collision table is a
 // cyclic permutation of (mass, momentum) equivalence classes and has no
@@ -49,22 +50,14 @@
 
 namespace lattice::lgca {
 
-/// Grain floor for the band scheduler: a row band must own at least
-/// this many payload words of one plane per generation, or the planner
-/// merges bands. 16384 words ≈ 1 Mi sites ≈ hundreds of µs of kernel
-/// work per generation — an order of magnitude above a barrier
-/// rendezvous, so a band is never synchronization-bound and sub-
-/// megasite lattices run single-band regardless of Config::threads.
-inline constexpr std::int64_t kDefaultBandGrainWords = 16384;
-
-/// What the plane drivers (plane_gas_run, plane_gas_run_tiled) need
-/// from a kernel. The drivers band and tile a flat PlaneLattice in
-/// *row units* of unit_rows() consecutive storage rows: one row for a
+/// What the plane driver (plane_gas_run_tiled) needs from a kernel.
+/// The driver bands and tiles a flat PlaneLattice in *row units* of
+/// unit_rows() consecutive storage rows: one row for a
 /// 2-D gas (PlaneKernel), one ny-row z-slab for the cubic 3-D gas
 /// (lgca3d::PlaneKernel3, whose flat lattice is {nx, ny·nz} with row
 /// z·ny + y). Everything dimension-specific — tap resolution, boundary
 /// wraps, chirality coordinates — stays behind these calls, so one
-/// banded and one trapezoid-tiled driver serve every dimension.
+/// driver serves every dimension.
 class PlaneUnitKernel {
  public:
   virtual ~PlaneUnitKernel() = default;
@@ -200,15 +193,16 @@ class PlaneKernel final : public PlaneUnitKernel {
   std::array<std::array<Tap, 6>, 2> taps_{};  // [row parity][channel]
 };
 
-/// Observation/instrumentation points inside plane_gas_run, keyed to
-/// the band structure. The one client today is the fault subsystem's
-/// PlaneMemoryGuard (fault/memory_guard.hpp), which injects plane-word
-/// faults into the generation-t source and audits per-plane particle
-/// ledgers over the produced rows; the interface lives here so lgca
-/// never depends on lattice::fault. A null hooks pointer is the
-/// fault-free fast path: the run loop is unchanged (the banded path
-/// takes one untaken branch per band-generation and skips the extra
-/// pre-update barrier entirely).
+/// Observation/instrumentation points inside the plane driver, keyed
+/// to its lanes and blocks. The one client today is the fault
+/// subsystem's PlaneMemoryGuard (fault/memory_guard.hpp), which injects
+/// plane-word faults into the committed source and audits per-plane
+/// particle ledgers over the produced rows; the interface lives here so
+/// lgca never depends on lattice::fault. Rows are flat storage rows (a
+/// lane owning units [u0, u1) sees rows [u0·unit_rows, u1·unit_rows)).
+/// A null hooks pointer is the fault-free fast path: the run loop is
+/// unchanged (one untaken branch per lane-block, and the extra
+/// pre-update barrier is skipped entirely).
 class PlaneRunHooks {
  public:
   virtual ~PlaneRunHooks() = default;
@@ -221,33 +215,30 @@ class PlaneRunHooks {
   virtual void run_begin(PlaneLattice& lat, std::uint32_t written_planes,
                          std::uint32_t halo_planes, std::int64_t t0) = 0;
 
-  /// Per band, per generation, before update_rows gathers from rows
-  /// [y0, y1) of the generation-t source `cur`. May mutate those rows
-  /// (fault injection). Called concurrently from all bands; a barrier
-  /// separates every before_rows from every update, so a band never
-  /// gathers a neighbor row that is still being mutated.
+  /// Per lane, per block, before the block's update reads rows
+  /// [y0, y1) — the lane's own rows — of the committed generation-t
+  /// source `cur`. May mutate those rows (fault injection). Called
+  /// concurrently from all lanes; a barrier separates every
+  /// before_rows from every update, so a lane never gathers a
+  /// neighbor row (or a tile skirt row) that is still being mutated.
   virtual void before_rows(PlaneLattice& cur, std::int64_t t,
                            std::int64_t y0, std::int64_t y1) = 0;
 
-  /// Per band, per generation, after update_rows produced rows [y0, y1)
-  /// of `next` (halo-ready). Called concurrently; read-only.
+  /// Per lane, per block, after the lane produced its rows [y0, y1) of
+  /// `next` (halo-ready) at generation t + 1, where t is the block's
+  /// last generation. Called concurrently; read-only.
   virtual void after_rows(const PlaneLattice& next, std::int64_t t,
                           std::int64_t y0, std::int64_t y1) = 0;
 };
 
-/// Advance `lat` by `generations` steps of `kernel`, double-buffered.
-/// Up to `threads` static bands of whole row units are owned by
-/// persistent pool lanes with one barrier per generation; the planner
-/// never makes a band smaller than `band_grain_words` payload words
-/// (0 picks kDefaultBandGrainWords), collapsing to an inline
-/// single-band loop when the lattice is too small to parallelize
-/// profitably. `hooks` see flat storage rows (a band of units
-/// [u0, u1) is rows [u0·unit_rows, u1·unit_rows)). Bit-identical to
-/// the kernel's golden updater for any thread count and any SIMD
-/// level. Defined with the tiled driver in temporal_tile.cpp.
+/// Advance `lat` by `generations` steps of `kernel` on the plain,
+/// untiled sweep: plane_gas_run_tiled (temporal_tile.hpp) with the
+/// default TemporalTiling, so up to `threads` bands of whole row units
+/// that the grain floor may merge into one inline band. Bit-identical
+/// to the kernel's golden updater for any thread count and any SIMD
+/// level. Defined with the driver in temporal_tile.cpp.
 void plane_gas_run(PlaneLattice& lat, const PlaneUnitKernel& kernel,
                    std::int64_t generations, std::int64_t t0 = 0,
-                   unsigned threads = 1, std::int64_t band_grain_words = 0,
-                   PlaneRunHooks* hooks = nullptr);
+                   unsigned threads = 1);
 
 }  // namespace lattice::lgca

@@ -32,64 +32,71 @@
 // final step writes the real double buffer. Correctness of the
 // windowed update (storage row vs semantic row, hex parity, chirality
 // hash, boundary resolution) is documented on
-// PlaneUnitKernel::update_unit_window / CollisionLut::update_span_window.
-// Everything here is bit-identical to plane_gas_run / fused_gas_run
-// for every (gas, boundary, SIMD level, thread count, depth) — by the
-// induction above, and by the tile-seam sweep in
-// tests/test_temporal_tile.cpp.
+// PlaneUnitKernel::update_unit_window. Everything here is
+// bit-identical to the untiled sweep for every (gas, boundary, SIMD
+// level, thread count, depth) — by the induction above, and by the
+// tile-seam sweep in tests/test_temporal_tile.cpp.
 //
-// The plane driver is dimension-generic: it tiles in row units (see
-// PlaneUnitKernel), so "row" above reads "z-slab" for the 3-D gas —
-// the same Theorem 4 schedule at d = 3, R = O(B·S^(1/3)). The byte-LUT
-// driver walks the identical trapezoid over byte rows.
+// There is one plane driver, plane_gas_run_tiled: the untiled sweep is
+// its depth-1 case, in which a band is a tile one generation deep and
+// needs no scratch strips. It is dimension-generic: it tiles in row
+// units (see PlaneUnitKernel), so "row" above reads "z-slab" for the
+// 3-D gas — the same Theorem 4 schedule at d = 3, R = O(B·S^(1/3)).
+// Only the bit-plane backends tile. The byte-LUT sweep is compute-bound
+// (a table read per site), so it has nothing for the reuse factor to
+// buy and runs the plain fused_gas_run.
 
 #pragma once
 
 #include <cstdint>
 
-#include "lattice/lgca/collision_lut.hpp"
 #include "lattice/lgca/plane_kernel.hpp"
 
 namespace lattice::lgca {
 
-/// One temporal-blocking decision, as consumed by the tiled drivers.
+/// One temporal-blocking decision, as consumed by the plane driver.
 /// Producing it from a cache model is the job of
 /// lattice::core::plan_temporal_tiles (core/tile_plan.hpp); lgca only
 /// needs the two numbers.
 struct TemporalTiling {
   /// Generations computed per tile visit (k). depth <= 1 means "no
-  /// temporal blocking" and the tiled drivers fall back to the plain
-  /// sweep.
+  /// temporal blocking": the driver runs the plain sweep.
   std::int64_t depth = 1;
   /// Output rows per tile at the final step. The scratch strips hold
-  /// tile_rows + 2*(depth-1) rows each.
+  /// tile_rows + 2*(depth-1) rows each. At depth <= 1 a positive value
+  /// sets the band height of the plain sweep instead of the grain-floor
+  /// band planner (tests use it to force multi-band runs on small
+  /// lattices; the engine's plans carry 0 at depth 1).
   std::int64_t tile_rows = 0;
 };
 
-/// Whether the tiled drivers would actually tile this run: depth >= 2,
+/// Whether the driver would actually tile this run: depth >= 2,
 /// tile_rows >= depth (keeps the recompute tax below 100%), at least
 /// two tiles (one tile means the lattice already fits the budget — the
 /// plain sweep is strictly better), and, under a Null boundary, a
 /// scratch strip no taller than the lattice (so a strip clamps at most
-/// one lattice edge). The drivers fall back to the plain sweep when
-/// this is false, so callers may pass any TemporalTiling.
+/// one lattice edge). The driver runs the plain sweep when this is
+/// false, so callers may pass any TemporalTiling.
 bool temporal_tiling_feasible(const TemporalTiling& tiling, Extent extent,
                               Boundary boundary);
 
-/// plane_gas_run with temporal blocking: advance `lat` by `generations`
-/// steps of `kernel`, computing tiling.depth generations per
-/// cache-resident trapezoidal tile of tiling.tile_rows row units (rows
-/// in 2-D, z-slabs in 3-D). Tiles of one block are independent
-/// (redundant seam recompute) and are distributed over up to `threads`
-/// pool lanes; one barrier per block (i.e. per depth generations)
-/// replaces the plain runner's barrier per generation. `hooks` fire at
-/// block granularity — before_rows over the full committed lattice
-/// before a block, after_rows after it — so fault injection strikes the
-/// DRAM-resident committed state while cache-resident intermediates
-/// stay clean, and a detected fault still rolls the whole block back.
-/// Falls back to plane_gas_run when the tiling is infeasible over the
-/// {width, height / unit_rows} unit extent. Bit-identical to
-/// plane_gas_run for any tiling.
+/// The plane driver: advance `lat` by `generations` steps of `kernel`,
+/// in blocks of kb generations. When the run has >= 2 generations and
+/// the tiling is feasible over the {width, height / unit_rows} unit
+/// extent, kb = tiling.depth and each block computes cache-resident
+/// trapezoidal tiles of tiling.tile_rows row units (rows in 2-D,
+/// z-slabs in 3-D); the tiles spread over up to `threads` pool lanes.
+/// Otherwise kb = 1: the plain sweep, in bands of tiling.tile_rows
+/// units when depth <= 1 sets it, else in up to `threads` bands that
+/// the grain floor may merge (down to one inline band). Each lane owns
+/// a contiguous range of tiles for the whole run; one barrier per
+/// block swaps the buffers. `hooks` fire per lane per block over the
+/// lane's own rows (see PlaneRunHooks) — before_rows on the committed
+/// generation-t state, after_rows on the produced generation-(t+kb)
+/// rows — so fault injection strikes the DRAM-resident committed state
+/// while cache-resident intermediates stay clean, and a detected fault
+/// still rolls the whole block back. Bit-identical to the kernel's
+/// golden updater for any tiling, thread count and SIMD level.
 void plane_gas_run_tiled(PlaneLattice& lat, const PlaneUnitKernel& kernel,
                          std::int64_t generations, std::int64_t t0,
                          unsigned threads, const TemporalTiling& tiling,
@@ -116,15 +123,5 @@ void bitplane_gas_run(SiteLattice& lat, const PlaneUnitKernel& kernel,
                       std::int64_t generations, std::int64_t t0 = 0,
                       unsigned threads = 1, const TemporalTiling& tiling = {},
                       PlaneRunHooks* hooks = nullptr);
-
-/// fused_gas_run with temporal blocking — the byte-LUT path of the
-/// reference executor, covering all four gases (including FHP-III,
-/// which has no plane kernel). Same trapezoid scheme over SiteLattice
-/// scratch strips; the collide table preserves the obstacle and rest
-/// bits, so byte scratch rows carry the full site state automatically.
-/// Bit-identical to fused_gas_run for any tiling.
-void fused_gas_run_tiled(SiteLattice& lat, const CollisionLut& lut,
-                         std::int64_t generations, std::int64_t t0,
-                         unsigned threads, const TemporalTiling& tiling);
 
 }  // namespace lattice::lgca

@@ -52,28 +52,24 @@ const CollisionLut* CollisionLut::try_get(const Rule& rule) {
   return gas != nullptr ? &get(gas->model().kind()) : nullptr;
 }
 
-// The shared row core behind update_span and update_span_window: dst_y
-// and src_y are storage rows in next / cur (identical in the plain
-// sweep, offset in temporal-tile scratch strips), sem_y the semantic
-// lattice row that selects the parity tap set and feeds the chirality
-// hash. Source rows resolve against cur's own height and boundary.
-void CollisionLut::row_core(SiteLattice& next, std::int64_t dst_y,
-                            const SiteLattice& cur, std::int64_t src_y,
-                            std::int64_t sem_y, std::int64_t t,
-                            std::int64_t x0, std::int64_t x1) const {
+void CollisionLut::update_span(SiteLattice& next, const SiteLattice& cur,
+                               std::int64_t t, std::int64_t y, std::int64_t x0,
+                               std::int64_t x1) const {
   const Extent e = cur.extent();
   const std::int64_t w = e.width;
   const std::int64_t h = e.height;
+  LATTICE_ASSERT(y >= 0 && y < h && x0 >= 0 && x1 <= w,
+                 "update_span out of range");
   if (x0 >= x1) return;
   const bool periodic = cur.boundary() == Boundary::Periodic;
-  const auto& taps = taps_[(sem_y & 1) ? 1 : 0];
+  const auto& taps = taps_[(y & 1) ? 1 : 0];
   const int n = tap_count_;
 
   // Source row base pointers for dy = -1, 0, +1; nullptr rows read as
   // empty (the null-boundary mask of the window multiplexer).
   const Site* rows[3];
   for (int dy = -1; dy <= 1; ++dy) {
-    std::int64_t ny = src_y + dy;
+    std::int64_t ny = y + dy;
     if (ny < 0 || ny >= h) {
       if (!periodic) {
         rows[dy + 1] = nullptr;
@@ -83,7 +79,7 @@ void CollisionLut::row_core(SiteLattice& next, std::int64_t dst_y,
     }
     rows[dy + 1] = cur.grid().data() + linear_index(e, {0, ny});
   }
-  Site* out = next.grid().data() + linear_index(next.extent(), {0, dst_y});
+  Site* out = next.grid().data() + linear_index(next.extent(), {0, y});
 
   // Edge columns: per-tap column bounds / wrap checks.
   const auto slow = [&](std::int64_t x) {
@@ -100,7 +96,7 @@ void CollisionLut::row_core(SiteLattice& next, std::int64_t dst_y,
       in |= static_cast<Site>(row[nx] & tap.bit);
     }
     in |= static_cast<Site>(rows[1][x] & center_mask_);
-    out[x] = collide(in, GasModel::chirality(x, sem_y, t));
+    out[x] = collide(in, GasModel::chirality(x, y, t));
   };
 
   const std::int64_t fast0 = std::max<std::int64_t>(x0, 1);
@@ -114,30 +110,9 @@ void CollisionLut::row_core(SiteLattice& next, std::int64_t dst_y,
       if (row != nullptr) in |= static_cast<Site>(row[x + tap.dx] & tap.bit);
     }
     in |= static_cast<Site>(rows[1][x] & center_mask_);
-    out[x] = collide(in, GasModel::chirality(x, sem_y, t));
+    out[x] = collide(in, GasModel::chirality(x, y, t));
   }
   for (std::int64_t x = std::max(fast1, x0); x < x1; ++x) slow(x);
-}
-
-void CollisionLut::update_span(SiteLattice& next, const SiteLattice& cur,
-                               std::int64_t t, std::int64_t y, std::int64_t x0,
-                               std::int64_t x1) const {
-  LATTICE_ASSERT(y >= 0 && y < cur.extent().height && x0 >= 0 &&
-                     x1 <= cur.extent().width,
-                 "update_span out of range");
-  row_core(next, y, cur, y, y, t, x0, x1);
-}
-
-void CollisionLut::update_span_window(SiteLattice& next, std::int64_t dst_y,
-                                      const SiteLattice& cur,
-                                      std::int64_t src_y, std::int64_t sem_y,
-                                      std::int64_t t) const {
-  LATTICE_ASSERT(next.extent().width == cur.extent().width,
-                 "update_span_window: row widths differ");
-  LATTICE_ASSERT(dst_y >= 0 && dst_y < next.extent().height && src_y >= 0 &&
-                     src_y < cur.extent().height,
-                 "update_span_window out of range");
-  row_core(next, dst_y, cur, src_y, sem_y, t, 0, cur.extent().width);
 }
 
 void CollisionLut::update_rows(SiteLattice& next, const SiteLattice& cur,

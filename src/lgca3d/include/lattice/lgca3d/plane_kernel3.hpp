@@ -33,9 +33,9 @@
 //
 // There is no 3-D driver. PlaneKernel3 is an lgca::PlaneUnitKernel
 // over the flat {nx, ny·nz} PlaneLattice (row z·ny + y) whose row unit
-// is one z-slab of ny rows, so lgca::plane_gas_run and
-// lgca::plane_gas_run_tiled band and tile it exactly as they do a 2-D
-// gas: up to `threads` contiguous z-slab bands owned by persistent
+// is one z-slab of ny rows, so the one plane driver,
+// lgca::plane_gas_run_tiled, bands and tiles it exactly as it does a
+// 2-D gas: up to `threads` contiguous z-slab bands owned by persistent
 // pool lanes, one barrier per generation — the software shape of the
 // sliced 3-D SPA, slabs exchanging faces at each generation barrier —
 // and trapezoidal z-slab tiles advanced depth generations per memory

@@ -46,14 +46,13 @@ SiteLattice plane_next(const SiteLattice& lat, const PlaneKernel& kernel,
   return next.to_sites();
 }
 
-/// bitplane_gas_run with the band planner's grain floor set to
-/// `grain_words`, so a small lattice takes the real multi-band path.
-void banded_run(SiteLattice& lat, const PlaneKernel& kernel,
-                std::int64_t generations, std::int64_t t0, unsigned threads,
-                std::int64_t grain_words) {
-  PlaneLattice planes(lat);
-  plane_gas_run(planes, kernel, generations, t0, threads, grain_words);
-  planes.unpack(lat);
+/// bitplane_gas_run on the untiled sweep in bands of `band_rows` rows
+/// (a depth-1 TemporalTiling), so a small lattice takes the real
+/// multi-band path instead of the grain floor's single inline band.
+void run_in_bands(SiteLattice& lat, const PlaneKernel& kernel,
+                  std::int64_t generations, std::int64_t t0, unsigned threads,
+                  std::int64_t band_rows) {
+  bitplane_gas_run(lat, kernel, generations, t0, threads, {1, band_rows});
 }
 
 class BitPlaneGasTest : public ::testing::TestWithParam<GasKind> {};
@@ -208,10 +207,10 @@ INSTANTIATE_TEST_SUITE_P(Workers, BitPlaneParallelTest,
                          ::testing::Values(1u, 2u, 7u, 64u));
 
 TEST_P(BitPlaneParallelTest, AnyWorkerCountIsBitIdenticalToSerial) {
-  // band_grain_words = 1 forces the planner to actually split a
-  // lattice this small (the default grain floor would collapse it to
-  // one inline band, which is the production behavior but not the
-  // banded code path this test exists to race-check).
+  // One-row bands force the driver to actually split a lattice this
+  // small (the default grain floor would collapse it to one inline
+  // band, which is the production behavior but not the multi-lane
+  // code path this test exists to race-check).
   const unsigned threads = GetParam();
   const GasRule rule(GasKind::FHP_II);
   const PlaneKernel& kernel = PlaneKernel::get(GasKind::FHP_II);
@@ -221,7 +220,7 @@ TEST_P(BitPlaneParallelTest, AnyWorkerCountIsBitIdenticalToSerial) {
     fill_random(serial, rule.model(), 0.3, 21, 0.15);
     SiteLattice banded = serial;
     bitplane_gas_run(serial, kernel, 15, /*t0=*/1, /*threads=*/1);
-    banded_run(banded, kernel, 15, /*t0=*/1, threads, /*grain_words=*/1);
+    run_in_bands(banded, kernel, 15, /*t0=*/1, threads, /*band_rows=*/1);
     EXPECT_TRUE(serial == banded) << "threads " << threads;
   }
 }
@@ -255,7 +254,7 @@ TEST(BitPlaneParallel, SameSeedOneVsEightThreadsIsDeterministic) {
   add_obstacle_disk(banded, 160, 48, 11);
   ASSERT_TRUE(serial == banded);  // same seed ⇒ same start
   bitplane_gas_run(serial, kernel, 50, 0, 1);
-  banded_run(banded, kernel, 50, 0, 8, /*grain_words=*/16);
+  run_in_bands(banded, kernel, 50, 0, 8, /*band_rows=*/12);
   EXPECT_TRUE(serial == banded);
 }
 

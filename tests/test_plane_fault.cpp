@@ -184,19 +184,19 @@ struct GuardRunResult {
 GuardRunResult run_guarded(const fault::FaultPlan& plan,
                            const lgca::PlaneUnitKernel& kernel,
                            const lgca::SiteLattice& start, unsigned threads,
-                           std::int64_t grain_words) {
+                           const lgca::TemporalTiling& tiling) {
   fault::FaultInjector inj(plan);
   fault::PlaneMemoryGuard guard(inj);
   lgca::PlaneLattice planes(start);
-  lgca::plane_gas_run(planes, kernel, 24, 0, threads, grain_words, &guard);
+  lgca::plane_gas_run_tiled(planes, kernel, 24, 0, threads, tiling, &guard);
   return {inj.counters(), planes.to_sites()};
 }
 
 GuardRunResult run_guarded(const fault::FaultPlan& plan,
                            lgca::Boundary boundary, unsigned threads,
-                           std::int64_t grain_words) {
+                           const lgca::TemporalTiling& tiling) {
   return run_guarded(plan, lgca::PlaneKernel::get(lgca::GasKind::FHP_II),
-                     seeded_lattice({100, 40}, boundary), threads, grain_words);
+                     seeded_lattice({100, 40}, boundary), threads, tiling);
 }
 
 /// A seeded cubic-gas volume as the flat {nx, ny·nz} byte view the
@@ -230,30 +230,38 @@ fault::FaultPlan mixed_plane_plan() {
 
 TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreBandCountInvariant) {
   // Faults are keyed by global lattice coordinates and detectors are
-  // per-row, so splitting the sweep into concurrent bands must not
+  // per-row, so splitting the sweep over concurrent lanes must not
   // change a single counter (or the corrupted evolution itself). The
-  // tiny grain forces the banded path with its injection barrier: row
-  // bands in 2-D, z-slab bands of the flat lattice (hooks over rows
-  // z0·ny..z1·ny) for the 3-D kernel, whose engine runs never band at
-  // test sizes under the default grain.
+  // depth-1 tilings force the multi-band path with its injection
+  // barrier: row bands in 2-D, z-slab bands of the flat lattice (hooks
+  // over rows z0·ny..z1·ny) for the 3-D kernel, whose engine runs never
+  // band at test sizes under the default grain. The depth-3 tilings run
+  // the same hooks per lane inside tile blocks, where a tile's skirts
+  // read rows another lane injects.
   const lgca3d::PlaneKernel3 cubic(6);
   struct Input {
     const char* name;
     const lgca::PlaneUnitKernel& kernel;
     lgca::SiteLattice start;
-    std::int64_t grain_words;
+    lgca::TemporalTiling tiling;
   };
+  const lgca::SiteLattice flat = seeded_lattice({100, 40},
+                                                lgca::Boundary::Periodic);
+  const lgca::SiteLattice volume = seeded_volume({70, 6, 8});
+  const lgca::PlaneKernel& fhp2 =
+      lgca::PlaneKernel::get(lgca::GasKind::FHP_II);
   const Input inputs[] = {
-      {"2-D FHP-II", lgca::PlaneKernel::get(lgca::GasKind::FHP_II),
-       seeded_lattice({100, 40}, lgca::Boundary::Periodic), 8},
-      {"3-D cubic", cubic, seeded_volume({70, 6, 8}), 1},
+      {"2-D FHP-II bands", fhp2, flat, {1, 10}},
+      {"3-D cubic bands", cubic, volume, {1, 2}},
+      {"2-D FHP-II tiles", fhp2, flat, {3, 8}},
+      {"3-D cubic tiles", cubic, volume, {3, 3}},
   };
   const fault::FaultPlan plan = mixed_plane_plan();
   for (const Input& in : inputs) {
     const GuardRunResult serial =
-        run_guarded(plan, in.kernel, in.start, 1, in.grain_words);
+        run_guarded(plan, in.kernel, in.start, 1, in.tiling);
     const GuardRunResult banded =
-        run_guarded(plan, in.kernel, in.start, 4, in.grain_words);
+        run_guarded(plan, in.kernel, in.start, 4, in.tiling);
     SCOPED_TRACE(in.name);
     ASSERT_GT(serial.counters.injected(), 0);
     expect_same_counters(serial.counters, banded.counters);
@@ -270,7 +278,7 @@ TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreSimdLevelInvariant) {
   GuardRunResult golden{fault::FaultCounters{}, lgca::SiteLattice{}};
   {
     const lgca::ScopedSimdLevel pin(base);
-    golden = run_guarded(mixed_plane_plan(), lgca::Boundary::Null, 1, 0);
+    golden = run_guarded(mixed_plane_plan(), lgca::Boundary::Null, 1, {});
   }
   ASSERT_GT(golden.counters.injected(), 0);
   for (const lgca::SimdLevel level :
@@ -278,7 +286,7 @@ TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreSimdLevelInvariant) {
     if (!lgca::simd_supported(level)) continue;
     const lgca::ScopedSimdLevel pin(level);
     const GuardRunResult got =
-        run_guarded(mixed_plane_plan(), lgca::Boundary::Null, 1, 0);
+        run_guarded(mixed_plane_plan(), lgca::Boundary::Null, 1, {});
     expect_same_counters(golden.counters, got.counters);
     EXPECT_TRUE(golden.state == got.state)
         << "corrupted evolution must match on " << lgca::to_string(level);

@@ -30,15 +30,16 @@ Lattice3 make_volume(Extent3 e, Boundary3 b, std::uint64_t seed) {
   return lat;
 }
 
-/// Pack, advance on the shared banded driver with the 3-D kernel,
-/// unpack. `grain_words` is the band planner's grain floor (0 = the
-/// default); a grain of 1 forces real multi-band execution on small
-/// volumes when threads > 1.
+/// Pack, advance on the plane driver's untiled sweep with the 3-D
+/// kernel, unpack. `band_units` > 0 sets the band height in z-planes
+/// (a depth-1 TemporalTiling), so 1 forces real multi-band execution
+/// on small volumes when threads > 1; 0 leaves the band count to the
+/// grain-floor planner.
 void run3(Lattice3& lat, std::int64_t generations, std::int64_t t0 = 0,
-          unsigned threads = 1, std::int64_t grain_words = 0) {
+          unsigned threads = 1, std::int64_t band_units = 0) {
   PlaneLattice3 planes(lat);
-  lgca::plane_gas_run(planes.inner(), PlaneKernel3(lat.extent().ny),
-                      generations, t0, threads, grain_words);
+  lgca::plane_gas_run_tiled(planes.inner(), PlaneKernel3(lat.extent().ny),
+                            generations, t0, threads, {1, band_units});
   planes.unpack(lat);
 }
 

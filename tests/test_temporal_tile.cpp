@@ -1,5 +1,5 @@
-// Temporal (trapezoidal) tiling — the tiled drivers against the plain
-// sweeps, bit for bit. The sweep is deliberately hostile to the seam
+// Temporal (trapezoidal) tiling — the tiled plane driver against the
+// plain sweep, bit for bit. The sweep is deliberately hostile to the seam
 // logic: awkward extents whose last tile is short, both boundary
 // modes, generation counts that are not a multiple of the depth, every
 // compiled SIMD level, and multiple thread counts — any off-by-one in
@@ -14,12 +14,14 @@
 #include <vector>
 
 #include "lattice/core/engine.hpp"
+#include "lattice/core/metrics_report.hpp"
 #include "lattice/core/tile_plan.hpp"
 #include "lattice/lgca/gas_rule.hpp"
 #include "lattice/lgca/init.hpp"
 #include "lattice/lgca/plane_simd.hpp"
 #include "lattice/lgca/reference.hpp"
 #include "lattice/lgca/temporal_tile.hpp"
+#include "lattice/obs/metrics.hpp"
 
 namespace lattice::lgca {
 namespace {
@@ -133,41 +135,6 @@ TEST_P(TemporalTileGasTest, NonzeroTimeOriginAndChunkingAreInvariant) {
   EXPECT_TRUE(got == want) << kind_name(GetParam());
 }
 
-TEST(TemporalTileFused, AllGasesMatchPlainFusedRun) {
-  // The byte-LUT path covers FHP-III too (no plane kernel exists).
-  for (const GasKind kind : {GasKind::HPP, GasKind::FHP_I, GasKind::FHP_II,
-                             GasKind::FHP_III}) {
-    const CollisionLut& lut = CollisionLut::get(kind);
-    for (const Boundary b : {Boundary::Null, Boundary::Periodic}) {
-      const SiteLattice start = seeded({65, 23}, b, lut.model(), 99);
-      SiteLattice want = start;
-      fused_gas_run(want, lut, 7);
-      for (const std::int64_t k :
-           {std::int64_t{2}, std::int64_t{3}, std::int64_t{5}}) {
-        for (const unsigned threads : {1u, 3u}) {
-          SiteLattice got = start;
-          fused_gas_run_tiled(got, lut, 7, 0, threads, {k, 7});
-          ASSERT_TRUE(got == want)
-              << kind_name(kind) << " k=" << k << " threads=" << threads
-              << (b == Boundary::Null ? " null" : " periodic");
-        }
-      }
-    }
-  }
-}
-
-TEST(TemporalTileFused, InfeasibleTilingFallsBackToPlainSweep) {
-  const CollisionLut& lut = CollisionLut::get(GasKind::FHP_II);
-  const SiteLattice start =
-      seeded({48, 12}, Boundary::Null, lut.model(), 3);
-  SiteLattice want = start;
-  fused_gas_run(want, lut, 5);
-  SiteLattice got = start;
-  // tile_rows = height: one tile, infeasible, must still be exact.
-  fused_gas_run_tiled(got, lut, 5, 0, 2, {3, 12});
-  EXPECT_TRUE(got == want);
-}
-
 TEST(TilePlan, AutoModeBlocksOnlyWhenTheSweepIsNotCacheResident) {
   // A 4096² bit-plane lattice is ~20 MB per buffer — far over the
   // budget, so auto picks a real depth with a modest skirt tax.
@@ -223,8 +190,10 @@ TEST(TemporalTileEngine, BitPlaneTiledRunVerifiesAgainstReference) {
 }
 
 TEST(TemporalTileEngine, ReferenceTiledRunMatchesPlainEngine) {
-  // The byte path needs a much taller lattice before two strips
-  // overflow the budget (rows are 8× leaner than bit-plane rows).
+  // Reference ignores tile_generations: its byte-LUT sweep never
+  // tiles, so any setting runs the plain sweep and quantizes nothing.
+  // A pipeline depth of 8 makes each pass several generations long,
+  // the only passes a tiling could have changed.
   const auto run = [](int k) {
     core::LatticeEngine::Config cfg;
     cfg.extent = {96, 6000};
@@ -232,13 +201,44 @@ TEST(TemporalTileEngine, ReferenceTiledRunMatchesPlainEngine) {
     cfg.boundary = Boundary::Null;
     cfg.backend = core::Backend::Reference;
     cfg.threads = 2;
+    cfg.pipeline_depth = 8;
     cfg.tile_generations = k;
     core::LatticeEngine engine(cfg);
+    EXPECT_EQ(engine.chunk_quantum(), 1) << "tile_generations " << k;
     fill_flow(engine.state(), engine.gas_model(), 0.3, 0.1, 21);
     engine.advance(10);
     return engine.state();
   };
-  EXPECT_TRUE(run(3) == run(1));
+  const SiteLattice plain = run(1);
+  for (const int k : {0, 3}) {
+    EXPECT_TRUE(run(k) == plain) << "tile_generations " << k;
+  }
+}
+
+TEST(TemporalTileEngine, UntiledRunResetsTheTileGauges) {
+  // Every driver run sets all three shape gauges, so an untiled engine
+  // after a tiled one reports depth 1, not the earlier run's depth.
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with LATTICE_OBS=OFF";
+  const auto advance = [](int k) {
+    core::LatticeEngine::Config cfg;
+    cfg.extent = {96, 1200};
+    cfg.gas = GasKind::HPP;
+    cfg.boundary = Boundary::Periodic;
+    cfg.backend = core::Backend::BitPlane;
+    cfg.threads = 2;
+    cfg.tile_generations = k;
+    core::LatticeEngine engine(cfg);
+    fill_random(engine.state(), engine.gas_model(), 0.3, 41);
+    engine.advance(6);
+    return engine.snapshot().metrics;
+  };
+  const obs::MetricsSnapshot tiled = advance(3);
+  ASSERT_EQ(tiled.gauge_or("bitplane.tile_depth"), 3);
+  EXPECT_GE(tiled.gauge_or("bitplane.tiles"), 2);
+  const obs::MetricsSnapshot untiled = advance(1);
+  EXPECT_EQ(untiled.gauge_or("bitplane.tile_depth"), 1);
+  EXPECT_EQ(untiled.gauge_or("bitplane.tiles"),
+            untiled.gauge_or("bitplane.bands"));
 }
 
 TEST(TemporalTileEngine, GuardedCheckpointsQuantizeToTileBlocks) {

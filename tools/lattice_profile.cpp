@@ -10,10 +10,11 @@
 //                   [--fault-plan SPEC] [--checkpoint-interval N]
 //                   [--max-retries N] [--oracle]
 //
-// --tile-generations enables temporal blocking on the software
+// --tile-generations enables temporal blocking on the bit-plane
 // backends (0 = let the cache model choose, 1 = off, >= 2 = fixed
 // depth) and prints the resolved tile plan — tile shape, depth, and
-// the working set vs the planner's cache budget.
+// the working set vs the planner's cache budget. Every other backend
+// ignores it and prints no plan.
 //
 // Prints a per-stage summary to stdout; --metrics writes the engine's
 // MetricsReport as JSON (the artifact CI uploads), --trace enables
@@ -279,24 +280,21 @@ int main(int argc, char** argv) {
     std::printf("simd              scalar64\n");
   }
   if (opt.tile_generations != 1 &&
-      (opt.backend == Backend::BitPlane || opt.backend == Backend::Reference ||
-       opt.backend == Backend::BitPlane3)) {
+      (opt.backend == Backend::BitPlane || opt.backend == Backend::BitPlane3)) {
     // Re-derive the plan the executor resolved (same deterministic
     // model, same inputs) so the profile shows what actually ran.
-    // (tile_rows count z-planes for the 3-D backend.)
-    const std::int64_t row_bytes =
-        opt.backend == Backend::BitPlane
-            ? lattice::core::plane_row_bytes(config.extent)
-            : lattice::core::byte_row_bytes(config.extent);
+    // (tile_rows count z-planes for the 3-D backend.) Only the
+    // bit-plane backends tile.
     const lattice::core::TilePlan plan =
         opt.backend == Backend::BitPlane3
             ? lattice::core::plan_temporal_tiles3(
                   {opt.side, opt.side, opt.nz},
                   lattice::lgca3d::to_boundary3(config.boundary),
                   opt.tile_generations)
-            : lattice::core::plan_temporal_tiles(config.extent,
-                                                 config.boundary, row_bytes,
-                                                 opt.tile_generations);
+            : lattice::core::plan_temporal_tiles(
+                  config.extent, config.boundary,
+                  lattice::core::plane_row_bytes(config.extent),
+                  opt.tile_generations);
     if (plan.depth > 1) {
       std::printf("tile_plan         depth=%lld rows=%lld tiles=%lld "
                   "(scratch %lld rows)\n",
