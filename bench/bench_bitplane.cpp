@@ -10,9 +10,11 @@
 // The printed table is also persisted to BENCH_bitplane.json in the
 // working directory; CI runs this binary with LATTICE_BENCH_QUICK=1 on
 // a small lattice and gates on tools/check_bench_regression.py. Any
-// exactness failure makes the process exit nonzero, and so does the
-// in-run engine residency gate (engine advance() rate at least 0.85 of
-// the bare resident-plane driver's, every mode).
+// exactness failure makes the process exit nonzero, and so do the two
+// in-run gates: the engine residency gate (engine advance() rate at
+// least 0.85 of the bare resident-plane driver's, every mode) and the
+// guarded scaling gate (guarded FHP-II 1024² at 4 threads at least
+// 1.5x its 1-thread rate on a host with 4 CPUs).
 
 #include "bench_util.hpp"
 
@@ -22,10 +24,13 @@
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "lattice/common/thread_pool.hpp"
 #include "lattice/core/engine.hpp"
 #include "lattice/core/tile_plan.hpp"
 #include "lattice/lgca/collision_lut.hpp"
@@ -221,8 +226,9 @@ bool print_tables(std::vector<Row>& rows) {
   // ~660 KB, comfortably L2-resident, so the rows measure the word
   // kernels rather than a DRAM bandwidth ceiling that flattens every
   // ISA to the same rate (exactly what side 1024 shows — see the
-  // full-mode table and docs/PERFORMANCE.md); (c) 262 Ki sites is below
-  // the band planner's ~1 Mi-site grain floor, so the 1/2/4/8-thread
+  // full-mode table and docs/PERFORMANCE.md); (c) 4096 words of HPP
+  // work and 28672 of FHP-II (word cost 7) are both under two floors
+  // of the band planner's 16384, so the 1/2/4/8-thread
   // ladder collapses to one band and stays flat (monotone) on any
   // host, once timed interleaved (below) so host drift cannot order
   // the rows; (d) the generation count is high enough that each
@@ -365,6 +371,99 @@ bool print_tables(std::vector<Row>& rows) {
   bench_util::note("'exact' reads yes in every row — every variant is the same");
   bench_util::note("boolean algebra as the LUT, computed a word at a time.");
   return all_exact;
+}
+
+/// The guarded ladder, quick and full mode: LatticeEngine(BitPlane)
+/// advancing FHP-II at 1024² under the parity shadow and transient
+/// plane flips with a checkpoint every 4 generations — the
+/// guarded_fhp2_1024 shape — at 1, 2 and 4 threads. Each rung owns one
+/// engine, timed interleaved over the same generation windows (the
+/// fault draws, and so the rollbacks, key on generation and word, never
+/// on the band split). A row is exact when its engine's committed state
+/// equals an unguarded engine's after as many generations. The
+/// monotone check in tools/check_bench_regression.py covers the ladder;
+/// the in-run gate below needs 4 threads at >= 1.5x the 1-thread rate
+/// whenever the host has 4 CPUs and the pool 4 lanes. Returns false on
+/// an inexact row or a failed gate.
+bool guarded_ladder(std::vector<Row>& rows) {
+  constexpr double kScalingFloor = 1.5;
+  constexpr std::int64_t kGens = 40;  // ten checkpoint intervals
+  constexpr int kReps = 5;
+  constexpr unsigned kLadder[] = {1u, 2u, 4u};
+  constexpr int kRungs = std::size(kLadder);
+  const Extent extent{1024, 1024};
+  const double area = static_cast<double>(extent.area());
+
+  core::LatticeEngine::Config cfg;
+  cfg.extent = extent;
+  cfg.gas = lgca::GasKind::FHP_II;
+  cfg.boundary = lgca::Boundary::Periodic;
+  cfg.backend = core::Backend::BitPlane;
+  const auto seeded = [&](core::LatticeEngine::Config c) {
+    auto e = std::make_unique<core::LatticeEngine>(c);
+    lgca::fill_random(e->state(), e->gas_model(), 0.3, 7, 0.1);
+    return e;
+  };
+
+  lgca::SiteLattice lut_lat = std::as_const(*seeded(cfg)).state();
+  const std::int64_t lut_gens = 4;
+  const double lut_rate =
+      area * static_cast<double>(lut_gens) /
+      time_run([&] {
+        lgca::fused_gas_run(lut_lat,
+                            lgca::CollisionLut::get(lgca::GasKind::FHP_II),
+                            lut_gens);
+      });
+
+  std::vector<std::unique_ptr<core::LatticeEngine>> engines;
+  for (const unsigned threads : kLadder) {
+    core::LatticeEngine::Config c = cfg;
+    c.threads = threads;
+    c.fault.seed = 7;
+    c.fault.parity_plane = true;
+    c.fault.plane_flip_rate = 4e-7;
+    c.checkpoint_interval = 4;
+    engines.push_back(seeded(c));
+  }
+  std::vector<double> best(kRungs, std::numeric_limits<double>::max());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int i = 0; i < kRungs; ++i) {
+      const int rung = (rep + i) % kRungs;
+      best[rung] = std::min(
+          best[rung], time_run([&] { engines[rung]->advance(kGens); }));
+    }
+  }
+  const auto golden = seeded(cfg);
+  golden->advance(kGens * kReps);
+
+  std::printf("\n  guarded ladder (FHP-II 1024x1024 periodic, parity shadow, "
+              "plane flips, checkpoint 4):\n");
+  bool all_exact = true;
+  const char* active = lgca::to_string(lgca::plane_simd_active());
+  for (int rung = 0; rung < kRungs; ++rung) {
+    const double rate = area * static_cast<double>(kGens) / best[rung];
+    const bool exact =
+        std::as_const(*engines[rung]).state() == std::as_const(*golden).state();
+    rows.push_back(Row{"FHP-II", extent.width, extent.height, kGens,
+                       "bit-plane guarded", active, kLadder[rung], best[rung],
+                       rate, rate / lut_rate, exact});
+    std::printf("  %-8s %9s %5lld %-22s %10.3f %12.3e %8.2fx %7s\n",
+                "FHP-II", "1024x1024", static_cast<long long>(kGens),
+                ("bit-plane guarded x" + std::to_string(kLadder[rung])).c_str(),
+                best[rung], rate, rate / lut_rate, exact ? "yes" : "NO");
+    all_exact = all_exact && exact;
+  }
+
+  const double ratio = best[0] / best[kRungs - 1];
+  const bool gated =
+      std::thread::hardware_concurrency() >= 4 &&
+      common::ThreadPool::shared().max_lanes() >= 4;
+  const bool pass = !gated || ratio >= kScalingFloor;
+  std::printf(
+      "  guarded scaling gate: 4 threads / 1 thread = %.2f (floor %.1f%s)%s\n",
+      ratio, kScalingFloor, gated ? "" : ", not gated below 4 CPUs",
+      pass ? "" : "  BELOW FLOOR");
+  return all_exact && pass;
 }
 
 /// In-run ratio gate: LatticeEngine(BitPlane).advance() against the
@@ -513,7 +612,8 @@ BENCHMARK(BM_PackUnpack)->Unit(benchmark::kMillisecond);
 // exactness so the CI smoke step can gate on it.
 int main(int argc, char** argv) {
   std::vector<Row> rows;
-  const bool exact = print_tables(rows);
+  bool exact = print_tables(rows);
+  exact = guarded_ladder(rows) && exact;
   const bool gate = engine_residency_gate();
   const bool wrote = write_json(rows);
   ::benchmark::Initialize(&argc, argv);

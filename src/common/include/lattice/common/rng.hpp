@@ -47,11 +47,33 @@ class Pcg32 {
 
   constexpr std::uint32_t next() noexcept {
     const std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
+    state_ = old * kMultiplier + inc_;
     const auto xorshifted =
         static_cast<std::uint32_t>(((old >> 18) ^ old) >> 27);
     const auto rot = static_cast<std::uint32_t>(old >> 59);
     return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
+
+  /// Jump ahead: the state after `delta` calls of next(), in
+  /// O(log delta) steps (Brown's LCG skip-ahead: the composed affine
+  /// map x -> a·x + c is squared once per bit of delta). This is what
+  /// lets a chunked fill start each chunk where the serial stream
+  /// would be, so a parallel fill is bit-identical to a serial one.
+  constexpr void advance(std::uint64_t delta) noexcept {
+    std::uint64_t acc_mult = 1;
+    std::uint64_t acc_plus = 0;
+    std::uint64_t cur_mult = kMultiplier;
+    std::uint64_t cur_plus = inc_;
+    while (delta > 0) {
+      if ((delta & 1u) != 0) {
+        acc_mult *= cur_mult;
+        acc_plus = acc_plus * cur_mult + cur_plus;
+      }
+      cur_plus = (cur_mult + 1) * cur_plus;
+      cur_mult *= cur_mult;
+      delta >>= 1;
+    }
+    state_ = acc_mult * state_ + acc_plus;
   }
 
   /// Uniform in [0, bound) without modulo bias (Lemire rejection).
@@ -78,6 +100,8 @@ class Pcg32 {
   constexpr result_type operator()() noexcept { return next(); }
 
  private:
+  static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
+
   std::uint64_t state_;
   std::uint64_t inc_;
 };

@@ -104,8 +104,11 @@ class BackendExec {
       const fault::FaultPlan& plan) const noexcept;
 
   /// Largest chunk the executor wants for one pass, given `remaining`
-  /// generations. Hardware executors bound it by the pipeline depth;
-  /// software ones may take everything in one pass.
+  /// generations. The base takes everything: a software executor runs
+  /// the whole request (or, guarded, the whole run to the next
+  /// checkpoint) as one pass. Only MachineExec bounds it, by its
+  /// pipeline depth — the machine computes at most depth generations
+  /// per sweep. advance() and the guarded loop both size passes here.
   virtual std::int64_t max_chunk(std::int64_t remaining) const noexcept;
 
   /// Generation quantum of one pass: the engine's guarded loop rounds
@@ -126,12 +129,10 @@ class BackendExec {
   virtual bool try_degrade();
 
  protected:
-  /// `name` keys the pass histogram; `pipeline_depth` bounds the
-  /// default max_chunk().
-  BackendExec(std::string_view name, std::int64_t pipeline_depth);
+  /// `name` keys the pass histogram.
+  explicit BackendExec(std::string_view name);
 
   ExecStats stats_;
-  std::int64_t depth_;
 
  private:
   std::string name_;

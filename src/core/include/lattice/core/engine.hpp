@@ -153,7 +153,13 @@ class LatticeEngine {
     const lgca::Rule* custom_rule = nullptr;
     lgca::Boundary boundary = lgca::Boundary::Null;
     Backend backend = Backend::Reference;
-    int pipeline_depth = 1;     // k: generations per pass (hardware backends)
+    /// k: the pipeline stages of a hardware machine (WSA, WSA-E, SPA),
+    /// which therefore computes at most k generations per pass. Only
+    /// the machine executors read it; the software backends (Reference,
+    /// BitPlane and their 3-D forms) run a whole advance(), or a whole
+    /// guarded run to the next checkpoint, as one pass. It also names
+    /// the default checkpoint_interval below.
+    int pipeline_depth = 1;
     int wsa_width = 1;          // P
     std::int64_t spa_slice_width = 0;  // W; 0 = pick a divisor near §6.2
     /// Worker threads for the software execution: bands the reference
@@ -195,9 +201,12 @@ class LatticeEngine {
     fault::FaultPlan fault;
     /// Snapshot the state every this many committed generations; a
     /// detected fault rolls back to the last snapshot and re-runs.
-    /// 0 = one checkpoint per pass (pipeline_depth generations). Under
-    /// repeated faults the engine shrinks the working interval (see
-    /// advance()); it regrows back to this value on clean passes.
+    /// It also bounds a guarded pass: every backend runs at most one
+    /// interval per pass, a machine backend at most pipeline_depth of
+    /// it. 0 = pipeline_depth generations (one machine pass). Rounded
+    /// up to the executor's pass quantum (a tiled run's block depth).
+    /// Under repeated faults the engine shrinks the working interval
+    /// (see advance()); it regrows back to this value on clean passes.
     std::int64_t checkpoint_interval = 0;
     /// Consecutive failed retries tolerated before the engine escalates
     /// (shrink the checkpoint interval, degrade the executor, fall back

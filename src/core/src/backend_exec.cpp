@@ -1,23 +1,18 @@
 #include "lattice/core/backend_exec.hpp"
 
-#include <algorithm>
-
 #include "exec_factories.hpp"
 #include "lattice/fault/fault.hpp"
 
 namespace lattice::core {
 
-BackendExec::BackendExec(std::string_view name, std::int64_t pipeline_depth)
-    : depth_(pipeline_depth),
-      name_(name),
-      pass_ns_(obs::histogram_id("engine.pass." + std::string(name) + "_ns")) {
-  LATTICE_REQUIRE(pipeline_depth >= 1, "pipeline depth must be >= 1");
-}
+BackendExec::BackendExec(std::string_view name)
+    : name_(name),
+      pass_ns_(obs::histogram_id("engine.pass." + std::string(name) + "_ns")) {}
 
 BackendExec::~BackendExec() = default;
 
 std::int64_t BackendExec::max_chunk(std::int64_t remaining) const noexcept {
-  return std::min(remaining, depth_);
+  return remaining;
 }
 
 std::int64_t BackendExec::chunk_quantum() const noexcept { return 1; }

@@ -275,9 +275,8 @@ void LatticeEngine::advance_guarded(std::int64_t generations) {
   int attempts = 0;
   while (generation_ < target) {
     sync_native();  // after an oracle pass, which ran on the bytes
-    std::int64_t chunk = std::min<std::int64_t>(
-        std::min<std::int64_t>(target - generation_, config_.pipeline_depth),
-        interval_);
+    std::int64_t chunk =
+        std::min(exec_->max_chunk(target - generation_), interval_);
     if (quantum > 1) {
       chunk = std::min(target - generation_,
                        (chunk + quantum - 1) / quantum * quantum);

@@ -14,10 +14,12 @@
 // bitplane.unpack_ns on store_state() — and a pass is the plane run
 // alone (bitplane.update_ns). Guarded checkpoints copy plane words.
 //
-// max_chunk() takes everything in one pass: pipeline_depth is a
-// hardware parameter with no meaning for this backend. One pass per
-// advance() also gives snapshot() a single engine.pass.bitplane[3]_ns
-// sample per call.
+// A pass is the whole request (the base max_chunk()): one per
+// advance(), which gives snapshot() a single engine.pass.bitplane[3]_ns
+// sample per call, or, guarded, one per run to the next checkpoint.
+// The guard's ledger persists across passes; load_state() and
+// load_snapshot() replace the planes behind its back, so both tell it
+// to rescan (PlaneMemoryGuard::invalidate).
 
 #include <algorithm>
 #include <bit>
@@ -52,8 +54,7 @@ class BitPlaneExec final : public BackendExec {
  public:
   BitPlaneExec(const LatticeEngine::Config& config,
                fault::FaultInjector* injector)
-      : BackendExec(backend_is_3d(config.backend) ? "bitplane3" : "bitplane",
-                    config.pipeline_depth),
+      : BackendExec(backend_is_3d(config.backend) ? "bitplane3" : "bitplane"),
         threads_(config.threads),
         injector_(injector),
         plan_(plane_tile_plan(config)) {
@@ -75,10 +76,6 @@ class BitPlaneExec final : public BackendExec {
           lgca::plane_span_ops(lgca::plane_simd_active()).width_bits;
       obs::gauge_set(simd_id, bits);
     }
-  }
-
-  std::int64_t max_chunk(std::int64_t remaining) const noexcept override {
-    return remaining;
   }
 
   std::int64_t chunk_quantum() const noexcept override { return plan_.depth; }
@@ -104,6 +101,7 @@ class BitPlaneExec final : public BackendExec {
       next_ = lgca::PlaneLattice(state.extent(), state.boundary());
     }
     lat_.pack(state, threads_);
+    if (guard_) guard_->invalidate();
   }
 
   void store_state(lgca::SiteLattice& state) const override {
@@ -138,6 +136,7 @@ class BitPlaneExec final : public BackendExec {
     for_plane_rows(~kept & 0xffu, [&](int p, std::int64_t y) {
       std::fill_n(lat_.row(p, y), words, std::uint64_t{0});
     });
+    if (guard_) guard_->invalidate();
   }
 
   bool supports_fault_plan(

@@ -8,7 +8,8 @@
 // `chunk` stages, so a ragged pass (chunk < pipeline depth) costs what
 // a fresh shallower machine would without building one, and the
 // steady-state advance loop allocates nothing. The executor's counters
-// are the machine's own.
+// are the machine's own. This is the one executor whose passes are
+// capped: max_chunk() is the pipeline depth, the machine's stage count.
 //
 // Per machine there is only what the machine alone knows: the report
 // fields (WSA's 2·D·P stream, WSA-E's off-chip buffer ledger, SPA's
@@ -17,6 +18,7 @@
 // try_degrade(), where the injector pulls failed (depth, slice) lanes
 // out of the datapath and surviving pipelines absorb their columns.
 
+#include <algorithm>
 #include <variant>
 
 #include "exec_factories.hpp"
@@ -65,10 +67,17 @@ class MachineExec final : public BackendExec {
  public:
   MachineExec(const LatticeEngine::Config& config, const lgca::Rule& rule,
               fault::FaultInjector* injector)
-      : BackendExec(machine_name(config.backend), config.pipeline_depth),
+      : BackendExec(machine_name(config.backend)),
         cfg_(config),
+        depth_(config.pipeline_depth),
         injector_(injector),
         machine_(build_machine(config, rule, injector)) {}
+
+  /// A machine computes at most its pipeline depth of generations per
+  /// sweep; a shorter (ragged) pass runs only the leading stages.
+  std::int64_t max_chunk(std::int64_t remaining) const noexcept override {
+    return std::min(remaining, depth_);
+  }
 
   void run_pass(lgca::SiteLattice& state, std::int64_t chunk,
                 std::int64_t generation) override {
@@ -141,6 +150,7 @@ class MachineExec final : public BackendExec {
 
  private:
   LatticeEngine::Config cfg_;  // copied: the engine may be moved
+  std::int64_t depth_;         // pipeline depth: stages, and the pass cap
   fault::FaultInjector* injector_;
   Machine machine_;
 };

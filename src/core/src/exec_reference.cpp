@@ -9,7 +9,10 @@
 // growing a fast path of its own. Neither dimension tiles:
 // Config::tile_generations is ignored (the fused byte-LUT sweep is
 // compute-bound, so temporal blocking has no traffic to save), and
-// chunk_quantum() stays 1.
+// chunk_quantum() stays 1. A pass is the whole request (the base
+// max_chunk()): one per advance(), or, guarded, one per run to the
+// next checkpoint — the same passes the bit-plane executor runs, so
+// the two fault runs fail the same passes.
 
 #include <optional>
 
@@ -27,8 +30,7 @@ class ReferenceExec final : public BackendExec {
  public:
   ReferenceExec(const LatticeEngine::Config& config, const lgca::Rule& rule,
                 fault::FaultInjector* injector)
-      : BackendExec(backend_is_3d(config.backend) ? "reference3" : "reference",
-                    config.pipeline_depth),
+      : BackendExec(backend_is_3d(config.backend) ? "reference3" : "reference"),
         config_(config),
         rule_(&rule) {
     if (config.fast_kernel && !backend_is_3d(config.backend)) {

@@ -36,6 +36,17 @@
 // that reads the corrupted word — the engine's guarded loop sees the
 // counter move during the pass that stored the fault and rolls back.
 //
+// Ledger lifetime: after_rows leaves the ledger and the parity shadow
+// current for every row it produced, and the planes a kernel does not
+// write stay put between runs, so at the end of a clean run both equal
+// what a full rescan of the result would compute. The guard therefore
+// keeps them across runs and rescans (serially, over the whole
+// lattice) only on the first run and after invalidate() — which the
+// owner calls whenever it replaces the planes outside a run: a load of
+// new state, a rollback to a checkpoint, a resume from the oracle. A
+// run whose detectors fired leaves a ledger of the corrupted evolution;
+// its owner rolls back, and the rollback invalidates.
+//
 // SiteMemoryGuard mirrors the non-halo subset (transient plane flips +
 // stuck plane words, ledger detection) in byte-site space for the
 // reference executor: the same plan draws the identical fault set at
@@ -59,18 +70,31 @@ class PlaneMemoryGuard final : public lgca::PlaneRunHooks {
  public:
   explicit PlaneMemoryGuard(FaultInjector& injector) : injector_(&injector) {}
 
+  /// Drop the ledger and the parity shadow: the next run_begin rebuilds
+  /// both from the planes it is handed. Call it after changing the
+  /// planes outside a run (see the ledger lifetime note above).
+  void invalidate() noexcept { ledger_valid_ = false; }
+
   // lgca::PlaneRunHooks. before_rows and after_rows are called
   // concurrently from the run's row bands on disjoint row ranges; all
   // guard state is per-row, and counter updates go through the
-  // injector's thread-safe note_*/report_* methods.
+  // injector's thread-safe note_*/report_* methods. run_begin rescans
+  // only when the ledger is invalid or the lattice shape changed.
   void run_begin(lgca::PlaneLattice& lat, std::uint32_t written_planes,
                  std::uint32_t halo_planes, std::int64_t t0) override;
   void before_rows(lgca::PlaneLattice& cur, std::int64_t t, std::int64_t y0,
                    std::int64_t y1) override;
   void after_rows(const lgca::PlaneLattice& next, std::int64_t t,
                   std::int64_t y0, std::int64_t y1) override;
+  /// The audit's work per plane word and generation, in the band
+  /// planner's HPP-word units: the fault draws and the popcounts of all
+  /// eight planes before the update, the written planes' popcounts
+  /// after it, and with the parity shadow two more eight-plane XOR
+  /// sweeps.
+  std::int64_t word_cost() const noexcept override;
 
  private:
+  void rescan(const lgca::PlaneLattice& lat);
   std::uint64_t payload_popcount(const std::uint64_t* rp) const noexcept;
   std::uint64_t payload_xor(const std::uint64_t* const rows[], int planes,
                             std::int64_t k) const noexcept;
@@ -86,10 +110,12 @@ class PlaneMemoryGuard final : public lgca::PlaneRunHooks {
   int n_halo_ = 0;
   int halo_planes_[lgca::PlaneLattice::kPlanes] = {};
   lgca::Boundary boundary_ = lgca::Boundary::Null;
+  Extent extent_{0, 0};
   std::int64_t words_ = 0;
   std::int64_t height_ = 0;
   std::uint64_t tail_ = ~std::uint64_t{0};
   bool shadow_armed_ = false;
+  bool ledger_valid_ = false;
   std::vector<std::int64_t> ledger_;   // height × kPlanes populations
   std::vector<std::uint64_t> shadow_;  // height × words parity plane
 };

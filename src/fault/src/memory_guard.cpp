@@ -12,6 +12,10 @@ void PlaneMemoryGuard::run_begin(PlaneLattice& lat,
                                  std::uint32_t written_planes,
                                  std::uint32_t halo_planes,
                                  std::int64_t /*t0*/) {
+  // The ledger of a plane the kernel does not write is only ever set
+  // here, so a kernel with other written planes needs a rescan too.
+  const bool current = ledger_valid_ && lat.extent() == extent_ &&
+                       written_planes == written_mask_;
   ops_ = &lgca::plane_span_ops(lgca::plane_simd_active());
   halo_mask_ = halo_planes;
   written_mask_ = written_planes;
@@ -20,10 +24,21 @@ void PlaneMemoryGuard::run_begin(PlaneLattice& lat,
     if (((halo_mask_ >> p) & 1u) != 0) halo_planes_[n_halo_++] = p;
   }
   boundary_ = lat.boundary();
+  extent_ = lat.extent();
   words_ = lat.words_per_row();
-  height_ = lat.extent().height;
+  height_ = extent_.height;
   tail_ = lat.tail_mask();
   shadow_armed_ = injector_->plan().parity_plane;
+  if (current) return;  // the last run's after_rows left it current
+  rescan(lat);
+  ledger_valid_ = true;
+}
+
+std::int64_t PlaneMemoryGuard::word_cost() const noexcept {
+  return injector_->plan().parity_plane ? 5 : 2;
+}
+
+void PlaneMemoryGuard::rescan(const PlaneLattice& lat) {
   ledger_.assign(
       static_cast<std::size_t>(height_ * PlaneLattice::kPlanes), 0);
   for (std::int64_t y = 0; y < height_; ++y) {

@@ -3,11 +3,25 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
+#include "lattice/common/rng.hpp"
 #include "lattice/lgca/gas_model.hpp"
 #include "lattice/lgca/lattice.hpp"
 
 namespace lattice::lgca {
+
+/// The row engine behind the random fillers (these and lgca3d's):
+/// `rows` rows of `row_sites` sites draw from one Pcg32(seed) stream in
+/// row order. Row y takes row_draws(y) values, and fill_row(rng, y)
+/// must consume exactly that many. A fill of at least 65536 sites runs
+/// contiguous row chunks on the shared pool, each from the stream
+/// advanced past every draw before it (Pcg32::advance), so its bytes
+/// equal the serial loop's for any pool size; a smaller one is the
+/// serial loop, inline.
+void fill_rows(std::uint64_t seed, std::int64_t rows, std::int64_t row_sites,
+               const std::function<std::uint64_t(std::int64_t)>& row_draws,
+               const std::function<void(Pcg32&, std::int64_t)>& fill_row);
 
 /// Fill non-obstacle sites with independent particles: each moving
 /// channel occupied with probability `density`; the rest channel (if the

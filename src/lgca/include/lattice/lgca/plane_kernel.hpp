@@ -86,6 +86,16 @@ class PlaneUnitKernel {
   /// multiple of it.
   virtual std::int64_t unit_rows() const noexcept = 0;
 
+  /// Update work per payload word of one plane and generation, in
+  /// units of the cheapest kernel's (HPP's) word. The band planner
+  /// floors a band's work, not its word count, so a kernel whose words
+  /// cost more splits a lattice of the same size into more bands.
+  /// A static ratio, measured single-threaded at working density on a
+  /// periodic lattice at the default span width (docs/PERFORMANCE.md);
+  /// it only has to be right to within the floor's factor-of-two
+  /// resolution.
+  virtual std::int64_t word_cost() const noexcept = 0;
+
   /// Compute generation-(t+1) units [u0, u1) of `next` from the
   /// generation-t lattice `cur`, whose shift halo must be current for
   /// halo_planes() and whose static planes must be primed. On return
@@ -147,6 +157,10 @@ class PlaneKernel final : public PlaneUnitKernel {
 
   std::int64_t unit_rows() const noexcept override { return 1; }
 
+  /// HPP 1, FHP-I 5, FHP-II 7: six gathered channels instead of four,
+  /// the wider collision algebra and the per-event chirality hash.
+  std::int64_t word_cost() const noexcept override { return cost_; }
+
   /// Compute generation-(t+1) rows [y0, y1) of `next` from `cur` (see
   /// update_units). Column-tiled so the three source row strips plus
   /// the destination strip stay cache resident on wide lattices;
@@ -190,6 +204,7 @@ class PlaneKernel final : public PlaneUnitKernel {
   SpanFn PlaneSpanOps::*span_;  // this gas's entry of every ops table
   std::uint32_t written_ = 0;
   std::uint32_t halo_ = 0;
+  std::int64_t cost_ = 1;
   std::array<std::array<Tap, 6>, 2> taps_{};  // [row parity][channel]
 };
 
@@ -211,7 +226,10 @@ class PlaneRunHooks {
   /// generation-t0 shift halo is filled, before any update. The masks
   /// are the running kernel's written_planes()/halo_planes(); the
   /// lattice is the flat storage every kernel shares (row z·ny + y for
-  /// the 3-D gas), so the same hooks serve every dimension.
+  /// the 3-D gas), so the same hooks serve every dimension. State a
+  /// hook keeps across runs is its own to validate: the lattice may
+  /// have been replaced since the last run (PlaneMemoryGuard keeps its
+  /// ledger and relies on its owner's invalidate() calls).
   virtual void run_begin(PlaneLattice& lat, std::uint32_t written_planes,
                          std::uint32_t halo_planes, std::int64_t t0) = 0;
 
@@ -229,6 +247,11 @@ class PlaneRunHooks {
   /// last generation. Called concurrently; read-only.
   virtual void after_rows(const PlaneLattice& next, std::int64_t t,
                           std::int64_t y0, std::int64_t y1) = 0;
+
+  /// The hooks' own work per payload word of one plane and generation,
+  /// in PlaneUnitKernel::word_cost units: a hooked run's bands carry
+  /// the kernel's work plus this, and the band planner floors the sum.
+  virtual std::int64_t word_cost() const noexcept = 0;
 };
 
 /// Advance `lat` by `generations` steps of `kernel` on the plain,

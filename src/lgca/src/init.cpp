@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <vector>
 
 #include "lattice/common/rng.hpp"
+#include "lattice/common/thread_pool.hpp"
 
 namespace lattice::lgca {
 
@@ -16,28 +19,71 @@ void require_probability(double p, const char* what) {
                   std::string(what) + " must be a probability in [0, 1]");
 }
 
+/// Smallest fill that runs on the pool: ~0.5 ms of serial draws, well
+/// above a dispatch. A 64² lattice (a served session) stays inline.
+constexpr std::int64_t kParallelFillSites = 65536;
+
+/// fill_rows' row_draws for the 2-D fillers: `per_site` draws for every
+/// site of row y that is not an obstacle.
+std::function<std::uint64_t(std::int64_t)> open_site_draws(
+    const SiteLattice& lat, int per_site) {
+  return [&lat, per_site](std::int64_t y) {
+    const std::int64_t w = lat.extent().width;
+    const Site* row = lat.grid().data() + y * w;
+    return static_cast<std::uint64_t>(
+        per_site *
+        std::count_if(row, row + w, [](Site s) { return !is_obstacle(s); }));
+  };
+}
+
 }  // namespace
+
+void fill_rows(std::uint64_t seed, std::int64_t rows, std::int64_t row_sites,
+               const std::function<std::uint64_t(std::int64_t)>& row_draws,
+               const std::function<void(Pcg32&, std::int64_t)>& fill_row) {
+  common::ThreadPool& pool = common::ThreadPool::shared();
+  if (rows * row_sites < kParallelFillSites || pool.workers() == 0) {
+    Pcg32 rng(seed);
+    for (std::int64_t y = 0; y < rows; ++y) fill_row(rng, y);
+    return;
+  }
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kParallelFillSites / std::max<std::int64_t>(1, row_sites));
+  // drawn[y] = draws before row y: per-row counts, then a prefix sum.
+  std::vector<std::uint64_t> drawn(static_cast<std::size_t>(rows) + 1, 0);
+  pool.parallel_for(rows, grain, [&](std::int64_t y0, std::int64_t y1) {
+    for (std::int64_t y = y0; y < y1; ++y) {
+      drawn[static_cast<std::size_t>(y) + 1] = row_draws(y);
+    }
+  });
+  std::partial_sum(drawn.begin(), drawn.end(), drawn.begin());
+  pool.parallel_for(rows, grain, [&](std::int64_t y0, std::int64_t y1) {
+    Pcg32 rng(seed);
+    rng.advance(drawn[static_cast<std::size_t>(y0)]);
+    for (std::int64_t y = y0; y < y1; ++y) fill_row(rng, y);
+  });
+}
 
 void fill_random(SiteLattice& lat, const GasModel& model, double density,
                  std::uint64_t seed, double rest_density) {
   require_probability(density, "density");
   require_probability(rest_density, "rest_density");
-  Pcg32 rng(seed);
   const Extent e = lat.extent();
-  for (std::int64_t y = 0; y < e.height; ++y) {
-    for (std::int64_t x = 0; x < e.width; ++x) {
-      Site& s = lat.at({x, y});
-      if (is_obstacle(s)) continue;
-      Site v = 0;
-      for (int d = 0; d < model.channels(); ++d) {
-        if (rng.next_bool(density)) v |= channel_bit(d);
-      }
-      if (model.has_rest_particle() && rng.next_bool(rest_density)) {
-        v |= kRestBit;
-      }
-      s = v;
-    }
-  }
+  const bool rest = model.has_rest_particle();
+  fill_rows(seed, e.height, e.width,
+            open_site_draws(lat, model.channels() + (rest ? 1 : 0)),
+            [&](Pcg32& rng, std::int64_t y) {
+              for (std::int64_t x = 0; x < e.width; ++x) {
+                Site& s = lat.at({x, y});
+                if (is_obstacle(s)) continue;
+                Site v = 0;
+                for (int d = 0; d < model.channels(); ++d) {
+                  if (rng.next_bool(density)) v |= channel_bit(d);
+                }
+                if (rest && rng.next_bool(rest_density)) v |= kRestBit;
+                s = v;
+              }
+            });
 }
 
 void fill_flow(SiteLattice& lat, const GasModel& model, double density,
@@ -45,24 +91,24 @@ void fill_flow(SiteLattice& lat, const GasModel& model, double density,
   require_probability(density, "density");
   LATTICE_REQUIRE(std::isfinite(bias) && std::abs(bias) <= 1.0,
                   "bias must be finite and in [-1, 1]");
-  Pcg32 rng(seed);
   const Extent e = lat.extent();
-  for (std::int64_t y = 0; y < e.height; ++y) {
-    for (std::int64_t x = 0; x < e.width; ++x) {
-      Site& s = lat.at({x, y});
-      if (is_obstacle(s)) continue;
-      Site v = 0;
-      for (int d = 0; d < model.channels(); ++d) {
-        const int px = momentum_of(model.topology(), d).px;
-        double p = density;
-        if (px > 0) p += bias;
-        if (px < 0) p -= bias;
-        p = std::clamp(p, 0.0, 1.0);
-        if (rng.next_bool(p)) v |= channel_bit(d);
-      }
-      s = v;
-    }
-  }
+  fill_rows(seed, e.height, e.width, open_site_draws(lat, model.channels()),
+            [&](Pcg32& rng, std::int64_t y) {
+              for (std::int64_t x = 0; x < e.width; ++x) {
+                Site& s = lat.at({x, y});
+                if (is_obstacle(s)) continue;
+                Site v = 0;
+                for (int d = 0; d < model.channels(); ++d) {
+                  const int px = momentum_of(model.topology(), d).px;
+                  double p = density;
+                  if (px > 0) p += bias;
+                  if (px < 0) p -= bias;
+                  p = std::clamp(p, 0.0, 1.0);
+                  if (rng.next_bool(p)) v |= channel_bit(d);
+                }
+                s = v;
+              }
+            });
 }
 
 void fill_shear(SiteLattice& lat, const GasModel& model, double density,
@@ -70,27 +116,28 @@ void fill_shear(SiteLattice& lat, const GasModel& model, double density,
   require_probability(density, "density");
   LATTICE_REQUIRE(std::isfinite(bias) && std::abs(bias) <= 1.0,
                   "bias must be finite and in [-1, 1]");
-  Pcg32 rng(seed);
   const Extent e = lat.extent();
-  for (std::int64_t y = 0; y < e.height; ++y) {
-    const double row_bias =
-        bias * std::sin(2.0 * 3.141592653589793 * static_cast<double>(y) /
-                        static_cast<double>(e.height));
-    for (std::int64_t x = 0; x < e.width; ++x) {
-      Site& s = lat.at({x, y});
-      if (is_obstacle(s)) continue;
-      Site v = 0;
-      for (int d = 0; d < model.channels(); ++d) {
-        const int px = momentum_of(model.topology(), d).px;
-        double p = density;
-        if (px > 0) p += row_bias;
-        if (px < 0) p -= row_bias;
-        p = std::clamp(p, 0.0, 1.0);
-        if (rng.next_bool(p)) v |= channel_bit(d);
-      }
-      s = v;
-    }
-  }
+  fill_rows(seed, e.height, e.width, open_site_draws(lat, model.channels()),
+            [&](Pcg32& rng, std::int64_t y) {
+              const double row_bias =
+                  bias * std::sin(2.0 * 3.141592653589793 *
+                                  static_cast<double>(y) /
+                                  static_cast<double>(e.height));
+              for (std::int64_t x = 0; x < e.width; ++x) {
+                Site& s = lat.at({x, y});
+                if (is_obstacle(s)) continue;
+                Site v = 0;
+                for (int d = 0; d < model.channels(); ++d) {
+                  const int px = momentum_of(model.topology(), d).px;
+                  double p = density;
+                  if (px > 0) p += row_bias;
+                  if (px < 0) p -= row_bias;
+                  p = std::clamp(p, 0.0, 1.0);
+                  if (rng.next_bool(p)) v |= channel_bit(d);
+                }
+                s = v;
+              }
+            });
 }
 
 void add_obstacle_rect(SiteLattice& lat, Coord lo, Coord hi) {

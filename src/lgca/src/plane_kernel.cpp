@@ -34,6 +34,7 @@ PlaneKernel::PlaneKernel(GasKind kind)
   }
   written_ = (1u << channels_) - 1u;
   if (kind == GasKind::FHP_II) written_ |= 1u << kRestPlane;
+  cost_ = kind == GasKind::HPP ? 1 : kind == GasKind::FHP_I ? 5 : 7;
 }
 
 void PlaneKernel::prime_static_planes(PlaneLattice& lat,

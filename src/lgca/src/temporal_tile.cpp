@@ -20,13 +20,15 @@ namespace {
 constexpr int kObstaclePlane = 7;
 
 /// Grain floor for the band scheduler of an untiled run: a band must
-/// own at least this many payload words of one plane per generation,
-/// or the planner merges bands. 16384 words ≈ 1 Mi sites ≈ hundreds
-/// of µs of kernel work per generation — an order of magnitude above
-/// a barrier rendezvous, so a band is never synchronization-bound and
-/// sub-megasite lattices run single-band regardless of the thread
-/// count.
-constexpr std::int64_t kBandGrainWords = 16384;
+/// own at least this much work per generation, or the planner merges
+/// bands. Work is payload words of one plane times the word cost of
+/// the kernel plus the hooks (PlaneUnitKernel::word_cost, in HPP words),
+/// so the floor is 16384 HPP words ≈ 1 Mi sites ≈ 80 µs of kernel work
+/// per generation — well above a barrier rendezvous, so a band is never
+/// synchronization-bound. An HPP lattice below a megasite runs single-
+/// band regardless of the thread count; a costlier kernel, or a guarded
+/// run, reaches the floor on a smaller lattice.
+constexpr std::int64_t kBandGrainWork = 16384;
 
 /// Scratch-strip storage base for a tile whose output units are
 /// [u0, u1): local unit = global (unwrapped) unit - base. Under
@@ -116,16 +118,15 @@ TileRange lane_tiles(std::int64_t tiles, unsigned lanes,
 
 /// Band count for an untiled run over `units` row units: never more
 /// bands than requested threads, units, or pool lanes — and never a
-/// band owning less than kBandGrainWords payload words of one plane per
-/// generation. The grain floor is what keeps thread scaling monotone:
-/// for kernels this cheap (a few word ops per 64 sites), a band below
-/// it costs more in rendezvous than its update, so small lattices
-/// collapse to fewer bands (down to one, which runs inline with zero
-/// pool traffic).
+/// band owning less than kBandGrainWork of `work` per generation. The
+/// grain floor is what keeps thread scaling monotone: for kernels this
+/// cheap (a few word ops per 64 sites), a band below it costs more in
+/// rendezvous than its update, so small lattices collapse to fewer
+/// bands (down to one, which runs inline with zero pool traffic).
 std::int64_t plan_bands(std::int64_t units, std::int64_t work,
                         unsigned threads) {
   std::int64_t bands = std::min<std::int64_t>(threads, units);
-  bands = std::min(bands, std::max<std::int64_t>(1, work / kBandGrainWords));
+  bands = std::min(bands, std::max<std::int64_t>(1, work / kBandGrainWork));
   bands = std::min(bands, static_cast<std::int64_t>(
                               common::ThreadPool::shared().max_lanes()));
   return std::max<std::int64_t>(1, bands);
@@ -256,8 +257,11 @@ void plane_gas_run_tiled(PlaneLattice& lat, PlaneLattice& next,
   const bool tiled =
       generations >= 2 &&
       temporal_tiling_feasible(tiling, {e.width, units}, lat.boundary());
-  const RunGeometry geo = run_geometry(units, e.height * lat.words_per_row(),
-                                       tiling, tiled, threads);
+  const std::int64_t word_cost =
+      kernel.word_cost() + (hooks != nullptr ? hooks->word_cost() : 0);
+  const RunGeometry geo =
+      run_geometry(units, e.height * lat.words_per_row() * word_cost, tiling,
+                   tiled, threads);
 
   // Every run sets all three gauges, so a snapshot never reports the
   // shape of an earlier run. An untiled lane's units are one tile.

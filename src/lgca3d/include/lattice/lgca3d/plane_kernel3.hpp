@@ -69,6 +69,11 @@ class PlaneKernel3 final : public lgca::PlaneUnitKernel {
 
   std::int64_t unit_rows() const noexcept override { return ny_; }
 
+  /// 14: six channels gathered across three axes, on scalar64 spans
+  /// only, where the 2-D ratios are taken at the dispatched vector
+  /// width.
+  std::int64_t word_cost() const noexcept override { return 14; }
+
   /// Compute generation-(t+1) z-planes [z0, z1) (see
   /// PlaneUnitKernel::update_units).
   void update_units(lgca::PlaneLattice& next, const lgca::PlaneLattice& cur,

@@ -1,8 +1,10 @@
 #include "lattice/lgca3d/lattice3.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "lattice/common/rng.hpp"
+#include "lattice/lgca/init.hpp"
 #include "lattice/lgca/observables.hpp"
 
 namespace lattice::lgca3d {
@@ -134,21 +136,29 @@ void reference_unstep(Lattice3& lat, std::int64_t t) {
 }
 
 void fill_random(Lattice3& lat, double density, std::uint64_t seed) {
-  Pcg32 rng(seed);
+  // Rows are the ny·nz x-rows in raster order: the serial stream's order.
   const Extent3 e = lat.extent();
-  for (std::int64_t z = 0; z < e.nz; ++z) {
-    for (std::int64_t y = 0; y < e.ny; ++y) {
-      for (std::int64_t x = 0; x < e.nx; ++x) {
-        Site& s = lat.at({x, y, z});
-        if (is_obstacle(s)) continue;
-        Site v = 0;
-        for (int d = 0; d < kChannels; ++d) {
-          if (rng.next_bool(density)) v |= channel_bit(d);
+  Site* const sites = lat.data();
+  lgca::fill_rows(
+      seed, e.ny * e.nz, e.nx,
+      [&](std::int64_t row) {
+        const Site* r = sites + row * e.nx;
+        return static_cast<std::uint64_t>(
+            kChannels * std::count_if(r, r + e.nx, [](Site s) {
+              return !is_obstacle(s);
+            }));
+      },
+      [&](Pcg32& rng, std::int64_t row) {
+        Site* r = sites + row * e.nx;
+        for (std::int64_t x = 0; x < e.nx; ++x) {
+          if (is_obstacle(r[x])) continue;
+          Site v = 0;
+          for (int d = 0; d < kChannels; ++d) {
+            if (rng.next_bool(density)) v |= channel_bit(d);
+          }
+          r[x] = v;
         }
-        s = v;
-      }
-    }
-  }
+      });
 }
 
 }  // namespace lattice::lgca3d

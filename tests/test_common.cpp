@@ -30,6 +30,26 @@ TEST(Pcg32, DeterministicForFixedSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(Pcg32, AdvanceSkipsExactlyThatManyDraws) {
+  for (const std::uint64_t n : {0ull, 1ull, 2ull, 7ull, 64ull, 1000ull,
+                                123457ull}) {
+    Pcg32 stepped(99, 5);
+    for (std::uint64_t i = 0; i < n; ++i) stepped.next();
+    Pcg32 jumped(99, 5);
+    jumped.advance(n);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(stepped.next(), jumped.next()) << "n = " << n;
+    }
+  }
+  // Jumps compose: 2^40 as two halves equals one jump.
+  Pcg32 once(3);
+  once.advance(std::uint64_t{1} << 40);
+  Pcg32 twice(3);
+  twice.advance(std::uint64_t{1} << 39);
+  twice.advance(std::uint64_t{1} << 39);
+  EXPECT_EQ(once.next(), twice.next());
+}
+
 TEST(Pcg32, StreamsAreIndependent) {
   Pcg32 a(42, 1);
   Pcg32 b(42, 2);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -95,6 +96,84 @@ TEST(FillRandom, RestDensityControlsRestPopulation) {
   };
   EXPECT_EQ(rest_count(none), 0);
   EXPECT_GT(rest_count(lots), 64 * 64 / 2);
+}
+
+// The serial stream every filler must reproduce byte for byte: one
+// Pcg32(seed), row-major, obstacle sites skipped without drawing.
+// `p(d, y)` is channel d's occupation probability on row y.
+template <typename P>
+SiteLattice serial_fill(SiteLattice lat, const GasModel& model,
+                        std::uint64_t seed, double rest, const P& p) {
+  Pcg32 rng(seed);
+  for (std::int64_t y = 0; y < lat.extent().height; ++y) {
+    for (std::int64_t x = 0; x < lat.extent().width; ++x) {
+      Site& s = lat.at({x, y});
+      if (is_obstacle(s)) continue;
+      Site v = 0;
+      for (int d = 0; d < model.channels(); ++d) {
+        if (rng.next_bool(p(d, y))) v |= channel_bit(d);
+      }
+      if (rest >= 0 && model.has_rest_particle() && rng.next_bool(rest)) {
+        v |= kRestBit;
+      }
+      s = v;
+    }
+  }
+  return lat;
+}
+
+TEST(FillRandom, ParallelFillIsByteEqualToTheSerialStream) {
+  // Above the 65536-site floor the fillers run row chunks on the pool,
+  // each from the jumped-ahead stream. The pool takes rows / grain
+  // chunks (grain = 65536 / width rows, at most one per lane), so these
+  // heights at the odd width 1031 run 1, 2, 3 and 4 chunks; 257x255
+  // stays below the floor (the serial path).
+  const Extent extents[] = {{1031, 64}, {1031, 130}, {1031, 200},
+                            {1031, 260}, {257, 255}};
+  for (const Extent e : extents) {
+    for (const GasKind kind : {GasKind::HPP, GasKind::FHP_II}) {
+      const GasModel& model = GasModel::get(kind);
+      for (int obstacles = 0; obstacles < 3; ++obstacles) {
+        SiteLattice base(e, Boundary::Null);
+        if (obstacles == 1) add_obstacle_rect(base, {3, 5}, {400, 40});
+        if (obstacles == 2) add_obstacle_disk(base, 200.5, 30.0, 27.0);
+        SCOPED_TRACE(testing::Message()
+                     << e.width << "x" << e.height << " kind "
+                     << static_cast<int>(kind) << " obstacles " << obstacles);
+        SiteLattice got = base;
+        fill_random(got, model, 0.3, 17, 0.2);
+        EXPECT_TRUE(got == serial_fill(base, model, 17, 0.2,
+                                       [](int, std::int64_t) { return 0.3; }))
+            << "rest particles " << model.has_rest_particle();
+        // fill_flow's and fill_shear's channel probability under an
+        // x-bias, and fill_shear's bias on row y.
+        const auto biased = [&](double bias, int d) {
+          const int px = momentum_of(model.topology(), d).px;
+          return std::clamp(0.3 + (px > 0 ? bias : px < 0 ? -bias : 0.0),
+                            0.0, 1.0);
+        };
+        const auto shear = [&](std::int64_t y) {
+          return 0.2 * std::sin(2.0 * 3.141592653589793 *
+                                static_cast<double>(y) /
+                                static_cast<double>(e.height));
+        };
+        got = base;
+        fill_shear(got, model, 0.3, 0.2, 23);
+        EXPECT_TRUE(got == serial_fill(base, model, 23, -1,
+                                       [&](int d, std::int64_t y) {
+                                         return biased(shear(y), d);
+                                       }))
+            << "fill_shear";
+        got = base;
+        fill_flow(got, model, 0.3, 0.1, 29);
+        EXPECT_TRUE(got == serial_fill(base, model, 29, -1,
+                                       [&](int d, std::int64_t) {
+                                         return biased(0.1, d);
+                                       }))
+            << "fill_flow";
+      }
+    }
+  }
 }
 
 // ---- image output ----

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 
@@ -38,6 +39,40 @@ TEST(Invariants3, HistogramSumsEqualPerSiteSums) {
       }
       EXPECT_EQ(measure_invariants(lat), want)
           << e.nx << "x" << e.ny << "x" << e.nz << (raw ? " raw" : "");
+    }
+  }
+}
+
+TEST(Lattice3Fill, ParallelFillIsByteEqualToTheSerialStream) {
+  // The x-rows (ny·nz of them) run in pool chunks above 65536 sites,
+  // each from the jumped-ahead stream: these volumes take 1, 2 and 4
+  // chunks (the smallest stays serial), with and without obstacles.
+  for (const Extent3 e : {Extent3{41, 40, 50}, Extent3{67, 33, 61},
+                          Extent3{64, 64, 64}, Extent3{9, 7, 5}}) {
+    for (const bool obstacles : {false, true}) {
+      Lattice3 base(e, Boundary3::Null);
+      if (obstacles) {
+        for (std::int64_t i = 0; i < e.volume(); i += 7) {
+          base.data()[i] = kObstacleBit;
+        }
+      }
+      Lattice3 got = base;
+      fill_random(got, 0.35, 29);
+      Lattice3 want = base;
+      Pcg32 rng(29);
+      for (std::int64_t i = 0; i < e.volume(); ++i) {
+        Site& s = want.data()[i];
+        if (is_obstacle(s)) continue;
+        Site v = 0;
+        for (int d = 0; d < kChannels; ++d) {
+          if (rng.next_bool(0.35)) v |= channel_bit(d);
+        }
+        s = v;
+      }
+      EXPECT_TRUE(std::equal(got.data(), got.data() + e.volume(),
+                             want.data()))
+          << e.nx << "x" << e.ny << "x" << e.nz << " obstacles "
+          << obstacles;
     }
   }
 }

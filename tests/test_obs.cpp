@@ -461,7 +461,9 @@ TEST(EngineSnapshot, PhasesAccountForWallClock) {
   for (const core::MetricsPhase& p : report.phases) {
     if (p.name == "engine.pass.reference_ns") {
       has_pass = true;
-      EXPECT_EQ(p.count, 8);  // 32 generations / depth 4
+      // One pass per advance(): pipeline_depth caps only a machine's
+      // passes (see MachinePassIsPipelineDepthLong).
+      EXPECT_EQ(p.count, 1);
     }
   }
   EXPECT_TRUE(has_pass);
@@ -474,6 +476,31 @@ TEST(EngineSnapshot, PhasesAccountForWallClock) {
   EXPECT_EQ(report.metrics.counter_or("engine.generations"), 32);
   EXPECT_EQ(report.metrics.counter_or("engine.site_updates"), 128 * 128 * 32);
   EXPECT_EQ(report.metrics.counter_or("reference.sites"), 128 * 128 * 32);
+}
+
+TEST(EngineSnapshot, MachinePassIsPipelineDepthLong) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "built with LATTICE_OBS=OFF";
+  obs::MetricsRegistry::global().reset();
+  core::LatticeEngine::Config config;
+  config.extent = {48, 48};
+  config.gas = lgca::GasKind::FHP_II;
+  config.backend = core::Backend::Wsa;
+  config.pipeline_depth = 4;
+  core::LatticeEngine engine(config);
+  lgca::fill_random(engine.state(), engine.gas_model(), 0.3, 13);
+  engine.advance(32);
+  engine.advance(3);  // one ragged pass
+
+  const core::MetricsReport report = engine.snapshot();
+  bool has_pass = false;
+  for (const core::MetricsPhase& p : report.phases) {
+    if (p.name == "engine.pass.wsa_ns") {
+      has_pass = true;
+      EXPECT_EQ(p.count, 8 + 1);  // 32 generations / depth 4, then 3
+    }
+  }
+  EXPECT_TRUE(has_pass);
+  EXPECT_EQ(report.metrics.counter_or("engine.generations"), 35);
 }
 
 // BitPlane gets the same first-class per-pass stage as every other

@@ -12,6 +12,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "lattice/core/engine.hpp"
@@ -269,6 +271,95 @@ TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreBandCountInvariant) {
   }
 }
 
+struct PassRunResult {
+  fault::FaultCounters counters;
+  lgca::SiteLattice state;
+  int committed = 0;
+  int rolled_back = 0;
+};
+
+/// Twelve four-generation guarded passes under the engine's rollback
+/// discipline: a pass whose detectors fired is discarded (planes
+/// restored from the last clean pass, ledger invalidated, epoch
+/// bumped). `reuse` keeps one guard, whose ledger persists across
+/// passes; otherwise every pass gets a fresh guard, which rescans.
+PassRunResult run_passes(const fault::FaultPlan& plan,
+                         const lgca::PlaneUnitKernel& kernel,
+                         const lgca::SiteLattice& start, unsigned threads,
+                         const lgca::TemporalTiling& tiling, bool reuse) {
+  fault::FaultInjector inj(plan);
+  std::optional<fault::PlaneMemoryGuard> guard;
+  lgca::PlaneLattice lat(start);
+  lgca::PlaneLattice next(start.extent(), start.boundary());
+  lgca::PlaneLattice ckpt = lat;
+  PassRunResult r;
+  std::int64_t t = 0;
+  for (int pass = 0; pass < 12; ++pass) {
+    if (!reuse || !guard) guard.emplace(inj);
+    const std::int64_t before = inj.counters().detected();
+    lgca::plane_gas_run_tiled(lat, next, kernel, 4, t, threads, tiling,
+                              &*guard);
+    if (inj.counters().detected() != before) {
+      lat = ckpt;
+      guard->invalidate();
+      inj.bump_epoch();
+      ++r.rolled_back;
+    } else {
+      ckpt = lat;
+      t += 4;
+      ++r.committed;
+    }
+  }
+  r.counters = inj.counters();
+  r.state = lat.to_sites();
+  return r;
+}
+
+TEST(PlaneMemoryGuard, PersistentLedgerMatchesARebuiltGuardEveryPass) {
+  // The ledger and parity shadow that after_rows leaves behind must be
+  // exactly what a rescan would build: one guard reused over the passes
+  // gives the same fault set, detections, commits and state as a guard
+  // rebuilt for every pass — 2-D and 3-D, one lane and four (depth-1
+  // tilings force the bands), parity shadow on and off.
+  const lgca3d::PlaneKernel3 cubic(6);
+  const lgca::PlaneKernel& fhp2 =
+      lgca::PlaneKernel::get(lgca::GasKind::FHP_II);
+  struct Input {
+    const char* name;
+    const lgca::PlaneUnitKernel& kernel;
+    lgca::SiteLattice start;
+    lgca::TemporalTiling bands;
+  };
+  const Input inputs[] = {
+      {"2-D FHP-II", fhp2, seeded_lattice({100, 40}, lgca::Boundary::Null),
+       {1, 10}},
+      {"3-D cubic", cubic, seeded_volume({70, 6, 8}), {1, 2}},
+  };
+  for (const Input& in : inputs) {
+    for (const bool parity : {false, true}) {
+      for (const unsigned threads : {1u, 4u}) {
+        fault::FaultPlan plan;
+        plan.seed = 41;
+        plan.plane_flip_rate = 2e-3;
+        plan.halo_flip_rate = 2e-3;
+        plan.parity_plane = parity;
+        SCOPED_TRACE(testing::Message() << in.name << " parity " << parity
+                                        << " threads " << threads);
+        const PassRunResult rebuilt =
+            run_passes(plan, in.kernel, in.start, threads, in.bands, false);
+        const PassRunResult reused =
+            run_passes(plan, in.kernel, in.start, threads, in.bands, true);
+        ASSERT_GT(rebuilt.committed, 0);
+        ASSERT_GT(rebuilt.rolled_back, 0);
+        EXPECT_EQ(reused.committed, rebuilt.committed);
+        EXPECT_EQ(reused.rolled_back, rebuilt.rolled_back);
+        expect_same_counters(rebuilt.counters, reused.counters);
+        EXPECT_TRUE(reused.state == rebuilt.state);
+      }
+    }
+  }
+}
+
 TEST(PlaneMemoryGuard, FaultSetAndDetectionsAreSimdLevelInvariant) {
   // The acceptance hinge for cross-ISA runs: the same plan must draw
   // the identical fault set and the detectors (which ride the SIMD
@@ -441,6 +532,97 @@ TEST(PlaneFaultEngine, ReferenceMirrorTracksBitPlaneRun) {
   EXPECT_EQ(ref_rollbacks, bp_rollbacks)
       << "the same passes must fail on both backends";
   EXPECT_TRUE(ref_state == bp_state);
+}
+
+/// The shape of guarded_fhp2_1024: one-generation machine passes
+/// (pipeline_depth 1) under a four-generation checkpoint, so every
+/// software pass runs to the checkpoint.
+core::LatticeEngine::Config depth_one_cfg(core::Backend backend) {
+  core::LatticeEngine::Config c = engine_cfg(backend, lgca::Boundary::Null);
+  c.pipeline_depth = 1;
+  c.checkpoint_interval = 4;
+  return c;
+}
+
+TEST(PlaneFaultEngine, ReferenceMirrorTracksBitPlaneRunAtDepthOne) {
+  // pipeline_depth 1 < checkpoint_interval 4: both software executors
+  // must run the same four-generation passes (a rollback restores the
+  // planes and the bit-plane guard rescans), so they inject the same
+  // faults, fail the same passes and commit the same state.
+  auto run = [](core::Backend backend) {
+    core::LatticeEngine::Config c = depth_one_cfg(backend);
+    c.fault.seed = 21;
+    c.fault.plane_flip_rate = 2e-3;
+    core::LatticeEngine e(c);
+    seed_engine(e);
+    e.advance(60);
+    return std::tuple(e.fault_counters(), e.report().rollbacks, e.state());
+  };
+  const auto [ref_counters, ref_rollbacks, ref_state] =
+      run(core::Backend::Reference);
+  const auto [bp_counters, bp_rollbacks, bp_state] =
+      run(core::Backend::BitPlane);
+  ASSERT_GT(ref_counters.injected_plane, 0);
+  ASSERT_GT(ref_rollbacks, 0);
+  EXPECT_EQ(ref_counters.injected_plane, bp_counters.injected_plane);
+  EXPECT_EQ(ref_rollbacks, bp_rollbacks);
+  EXPECT_TRUE(ref_state == bp_state);
+}
+
+TEST(PlaneFaultEngine, OracleResumeRebuildsTheLedger) {
+  // No retries: a dirty pass halves the interval 4 -> 2 -> 1, and a
+  // dirty one-generation pass goes to the oracle, which recomputes that
+  // generation — so the oracle pass ends exactly where the dirty pass
+  // ended, and the next bit-plane pass starts from there on planes the
+  // oracle replaced. The ledger must be rebuilt from them: the mirror
+  // (whose site guard rescans every pass) must see the same faults,
+  // rollbacks and oracle passes, and both end on the golden state.
+  auto run = [](core::Backend backend) {
+    core::LatticeEngine::Config c = depth_one_cfg(backend);
+    c.fault.seed = 8;
+    c.fault.plane_flip_rate = 1e-2;
+    c.max_retries = 0;
+    c.oracle_fallback = true;
+    core::LatticeEngine e(c);
+    seed_engine(e);
+    e.advance(40);
+    const core::PerformanceReport r = e.report();
+    return std::tuple(e.fault_counters(), r.rollbacks, r.oracle_passes,
+                      e.state());
+  };
+  const auto [ref_counters, ref_rollbacks, ref_oracle, ref_state] =
+      run(core::Backend::Reference);
+  const auto [bp_counters, bp_rollbacks, bp_oracle, bp_state] =
+      run(core::Backend::BitPlane);
+  ASSERT_GT(ref_oracle, 0);
+  EXPECT_EQ(ref_oracle, bp_oracle);
+  EXPECT_EQ(ref_rollbacks, bp_rollbacks);
+  EXPECT_EQ(ref_counters.injected_plane, bp_counters.injected_plane);
+  core::LatticeEngine golden(
+      engine_cfg(core::Backend::Reference, lgca::Boundary::Null));
+  seed_engine(golden);
+  golden.advance(40);
+  EXPECT_TRUE(bp_state == golden.state());
+  EXPECT_TRUE(ref_state == bp_state);
+}
+
+TEST(PlaneFaultEngine, WrittenStateRebuildsTheLedger) {
+  // A caller that writes the state between advance() calls replaces the
+  // planes (load_state): the next guarded pass must audit against the
+  // new populations, not the old run's ledger.
+  core::LatticeEngine::Config c = depth_one_cfg(core::Backend::BitPlane);
+  c.fault.parity_plane = true;  // armed, but nothing is ever injected
+  core::LatticeEngine armed(c);
+  core::LatticeEngine clean(depth_one_cfg(core::Backend::Reference));
+  for (core::LatticeEngine* e : {&armed, &clean}) {
+    seed_engine(*e);
+    e->advance(8);
+    lgca::fill_random(e->state(), e->gas_model(), 0.4, 77, 0.3);
+    e->advance(8);
+  }
+  EXPECT_EQ(armed.fault_counters().detected(), 0);
+  EXPECT_EQ(armed.report().rollbacks, 0);
+  EXPECT_TRUE(armed.state() == clean.state());
 }
 
 TEST(PlaneFaultEngine, StuckPlaneWordEscalatesToDegradeOnBothBackends) {
